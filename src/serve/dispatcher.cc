@@ -100,6 +100,12 @@ Dispatcher::~Dispatcher()
     }
 }
 
+obs::Counter &
+Dispatcher::counter(const char *name)
+{
+    return metrics.counter(name, metricHelp(name));
+}
+
 std::uint64_t
 Dispatcher::nowMs() const
 {
@@ -464,7 +470,7 @@ Dispatcher::handleSubmit(int fd, const Request &request)
     }
     if (opts.maxPending > 0 && fresh > 0 &&
         pending.size() >= opts.maxPending) {
-        ++stat_overloaded;
+        counter("nosq_sweepd_submits_shed_total").inc();
         logLine("submit shed: %zu pending >= --max-pending %zu",
                 pending.size(), opts.maxPending);
         clients[fd].outbuf += errorReplyLine(
@@ -473,7 +479,7 @@ Dispatcher::handleSubmit(int fd, const Request &request)
         return;
     }
 
-    ++stat_submits;
+    counter("nosq_sweepd_submits_total").inc();
     const std::string ticket =
         "t" + std::to_string(++ticket_seq);
     Ticket &t = tickets[ticket];
@@ -489,7 +495,7 @@ Dispatcher::handleSubmit(int fd, const Request &request)
             streamed += jobResultLine(i, fp, store.get(fp));
             ++t.delivered;
             ++cached;
-            ++stat_cache_hits;
+            counter("nosq_sweepd_cache_hits_total").inc();
             continue;
         }
         if (auto qit = quarantine.find(fp);
@@ -504,7 +510,7 @@ Dispatcher::handleSubmit(int fd, const Request &request)
         if (it != execs.end()) {
             it->second.waiters.push_back(Waiter{fd, ticket, i});
             ++shared;
-            ++stat_dedup_shared;
+            counter("nosq_sweepd_dedup_shared_total").inc();
             continue;
         }
         Exec exec;
@@ -534,14 +540,21 @@ Dispatcher::handleStatus(int fd)
     status.workers = workers.size();
     for (const Worker &worker : workers)
         status.alive += worker.alive ? 1 : 0;
-    status.executed = stat_executed;
-    status.cache_hits = stat_cache_hits;
-    status.dedup_shared = stat_dedup_shared;
-    status.worker_deaths = stat_worker_deaths;
-    status.requeued = stat_requeued;
-    status.failed = stat_failed;
-    status.quarantined = stat_quarantined;
-    status.overloaded = stat_overloaded;
+    status.executed =
+        counter("nosq_sweepd_jobs_executed_total").value();
+    status.cache_hits =
+        counter("nosq_sweepd_cache_hits_total").value();
+    status.dedup_shared =
+        counter("nosq_sweepd_dedup_shared_total").value();
+    status.worker_deaths =
+        counter("nosq_sweepd_worker_deaths_total").value();
+    status.requeued =
+        counter("nosq_sweepd_jobs_requeued_total").value();
+    status.failed = counter("nosq_sweepd_jobs_failed_total").value();
+    status.quarantined =
+        counter("nosq_sweepd_jobs_quarantined_total").value();
+    status.overloaded =
+        counter("nosq_sweepd_submits_shed_total").value();
     status.store_size = store.size();
     status.store_append_failures = store.appendFailures();
     status.pending = pending.size();
@@ -560,27 +573,11 @@ Dispatcher::handleStatus(int fd)
 void
 Dispatcher::handleMetrics(int fd)
 {
-    auto ctr = [&](const char *name) -> obs::Counter & {
-        return metrics.counter(name, metricHelp(name));
-    };
     auto gge = [&](const char *name) -> obs::Gauge & {
         return metrics.gauge(name, metricHelp(name));
     };
 
-    ctr("nosq_sweepd_scrapes_total").inc();
-
-    // Counters mirror the stat_* totals the status verb reports, so
-    // the two surfaces can never disagree.
-    ctr("nosq_sweepd_submits_total").set(stat_submits);
-    ctr("nosq_sweepd_jobs_executed_total").set(stat_executed);
-    ctr("nosq_sweepd_cache_hits_total").set(stat_cache_hits);
-    ctr("nosq_sweepd_dedup_shared_total").set(stat_dedup_shared);
-    ctr("nosq_sweepd_worker_deaths_total").set(stat_worker_deaths);
-    ctr("nosq_sweepd_jobs_requeued_total").set(stat_requeued);
-    ctr("nosq_sweepd_jobs_failed_total").set(stat_failed);
-    ctr("nosq_sweepd_jobs_quarantined_total")
-        .set(stat_quarantined);
-    ctr("nosq_sweepd_submits_shed_total").set(stat_overloaded);
+    counter("nosq_sweepd_scrapes_total").inc();
 
     std::uint64_t alive = 0, busy = 0;
     for (const Worker &worker : workers) {
@@ -604,9 +601,12 @@ Dispatcher::handleMetrics(int fd)
                        : 0.0);
     gge("nosq_sweepd_store_size")
         .set(static_cast<double>(store.size()));
-    const std::uint64_t seen = stat_cache_hits + stat_executed;
+    const std::uint64_t hits =
+        counter("nosq_sweepd_cache_hits_total").value();
+    const std::uint64_t seen =
+        hits + counter("nosq_sweepd_jobs_executed_total").value();
     gge("nosq_sweepd_store_hit_ratio")
-        .set(seen > 0 ? static_cast<double>(stat_cache_hits) /
+        .set(seen > 0 ? static_cast<double>(hits) /
                             static_cast<double>(seen)
                       : 0.0);
     gge("nosq_sweepd_draining").set(draining ? 1.0 : 0.0);
@@ -718,13 +718,13 @@ Dispatcher::drainResults()
                         nowMs() - dit->second));
                 dispatched_ms.erase(dit);
             }
-            ++stat_executed;
+            counter("nosq_sweepd_jobs_executed_total").inc();
             attempts.erase(fp); // completed; no longer a suspect
             if (result.error.empty()) {
                 store.put(fp, result.run);
                 deliver(fp, &result.run, "");
             } else {
-                ++stat_failed;
+                counter("nosq_sweepd_jobs_failed_total").inc();
                 deliver(fp, nullptr, result.error);
             }
         }
@@ -772,7 +772,7 @@ Dispatcher::reapWorkers()
             if (worker.pid != pid || !worker.alive)
                 continue;
             worker.alive = false;
-            ++stat_worker_deaths;
+            counter("nosq_sweepd_worker_deaths_total").inc();
             std::string death_reason;
             if (worker.wedged)
                 death_reason = "worker wedged (no heartbeat for " +
@@ -835,7 +835,7 @@ Dispatcher::requeueWorkerJobs(std::size_t slot,
             continue;
         }
         pending.push_front(fp);
-        ++stat_requeued;
+        counter("nosq_sweepd_jobs_requeued_total").inc();
         logLine("requeued job %s (attempt %llu of %u)", fp.c_str(),
                 static_cast<unsigned long long>(tried),
                 opts.maxJobAttempts);
@@ -847,8 +847,8 @@ void
 Dispatcher::quarantineJob(const std::string &fp,
                           const std::string &reason)
 {
-    ++stat_failed;
-    ++stat_quarantined;
+    counter("nosq_sweepd_jobs_failed_total").inc();
+    counter("nosq_sweepd_jobs_quarantined_total").inc();
     quarantine[fp] = reason;
     logLine("job %s %s", fp.c_str(), reason.c_str());
     // Delivered as a per-job error row, exactly like a job whose

@@ -163,6 +163,8 @@ class Dispatcher
     void closeClient(int fd);
     void shutdownWorkers();
     std::uint64_t nowMs() const;
+    /** The catalogued counter @p name (serve_metrics.hh). */
+    obs::Counter &counter(const char *name);
 
     DispatcherOptions opts;
     JobStore store;
@@ -186,20 +188,11 @@ class Dispatcher
     bool draining = false;
     std::uint64_t drain_deadline_ms = 0;
 
-    // --- stats (the status reply) ------------------------------------
-    std::uint64_t stat_executed = 0;
-    std::uint64_t stat_cache_hits = 0;
-    std::uint64_t stat_dedup_shared = 0;
-    std::uint64_t stat_worker_deaths = 0;
-    std::uint64_t stat_requeued = 0;
-    std::uint64_t stat_failed = 0;
-    std::uint64_t stat_quarantined = 0;
-    std::uint64_t stat_overloaded = 0;
-    std::uint64_t stat_submits = 0;
-
     // --- metrics (the `metrics` verb's scrape surface) ---------------
-    /** Series per serve_metrics.hh; counters mirror stat_* at scrape
-     * time, gauges are sampled then too, histograms observe live. */
+    /** Series per serve_metrics.hh, and the single source of the
+     * daemon's event totals: counters are bumped at the event sites
+     * and the status reply reads them back, gauges are sampled at
+     * scrape time, histograms observe live. */
     obs::MetricsRegistry metrics;
     /** Dispatch timestamp (ms) per in-flight wire frame id; feeds
      * the job service-time histogram on delivery. */

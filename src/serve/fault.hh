@@ -37,6 +37,8 @@
  *   store.write   fail -> the append is dropped (simulated EIO)
  *   store.fsync   fail -> fsync reports EIO
  *   store.rename  fail -> rename reports EIO
+ *                 (the store.* seams live in sim/result_log.cc, so
+ *                 they fire for sweep journals as well as stores)
  *   worker.fork   fail -> fork reports EAGAIN
  *   worker.job    fail -> the job returns an error frame;
  *                 wedge -> the worker spins without heartbeat

@@ -1,43 +1,29 @@
 /**
  * @file
- * The daemon's persistent fingerprint -> result store.
+ * The daemon's persistent fingerprint -> result store: the warm
+ * cache behind nosq_sweepd.
  *
- * One JSONL file ("nosq-store-v1"), append-only while serving,
- * compacted on load: the warm cache behind nosq_sweepd. Records are
- * in the sweep journal's exact record shape ({"fp": ..., "run":
- * {...}}, via runResultJsonLine()/runResultFromJson() from
- * sim/journal.hh), so a store entry round-trips bit-identically and
- * anything that can read a journal can read a store.
- *
- * Durability discipline mirrors the journal: every put() is
- * flushed to the OS immediately, so a SIGKILLed daemon loses at
- * most an in-flight record; load() salvages a clean prefix past a
- * torn final line (each record is validated individually, bad ones
- * skipped with a warning) and rewrites the file compacted via
- * tmp + rename.
+ * A JobStore is a ResultLog (sim/result_log.hh) bound to the
+ * "nosq-store-v1" schema, so it shares the sweep journal's record
+ * shape, salvage rules, per-put flush, tmp + fsync + rename
+ * compaction and heal-on-compact failure policy. Anything that can
+ * read a journal can read a store.
  */
 
 #ifndef NOSQ_SERVE_JOB_STORE_HH
 #define NOSQ_SERVE_JOB_STORE_HH
 
-#include <cstdint>
-#include <cstdio>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
-#include "sim/experiment.hh"
+#include "sim/result_log.hh"
 
 namespace nosq {
 namespace serve {
 
-class JobStore
+class JobStore : public ResultLog
 {
   public:
-    JobStore() = default;
-    ~JobStore();
-    JobStore(const JobStore &) = delete;
-    JobStore &operator=(const JobStore &) = delete;
+    JobStore() : ResultLog("nosq-store-v1", "store") {}
 
     /**
      * Open (creating if missing) the store at @p path, salvage its
@@ -45,66 +31,12 @@ class JobStore
      * Salvage diagnostics land in warnings().
      * @return false with @p error set when the path is unusable
      */
-    bool open(const std::string &path, std::string &error);
-
-    /** True when @p fp has a stored result. */
-    bool has(const std::string &fp) const;
-
-    /** The stored result for @p fp (has() must be true). */
-    const RunResult &get(const std::string &fp) const;
-
-    /**
-     * Record @p run under @p fp and flush it to the OS. Invalid
-     * results are not persisted (a failed job must re-run, exactly
-     * as the sweep journal refuses them). Duplicate fingerprints
-     * keep the first record. A failed append loses only that one
-     * record on disk (the in-memory copy still serves; a restarted
-     * daemon re-executes the job) and is counted in
-     * appendFailures() -- later appends are attempted normally.
-     */
-    void put(const std::string &fp, const RunResult &run);
-
-    /**
-     * Rewrite the live file as header + one record per result via
-     * tmp + fsync + rename (the same idiom open() uses), then
-     * reopen it for appends. Heals dropped appends and trims
-     * whatever salvage tolerated. @return false with @p error set
-     * when the rewrite fails (the old file stays in place)
-     */
-    bool compact(std::string &error);
-
-    /** Appends that failed to reach the file (records lost on
-     * disk until the next compact()). */
-    std::uint64_t
-    appendFailures() const
+    bool
+    open(const std::string &path, std::string &error)
     {
-        return append_failures;
+        load(path);
+        return compact(error);
     }
-
-    std::size_t
-    size() const
-    {
-        return results.size();
-    }
-
-    const std::vector<std::string> &
-    warnings() const
-    {
-        return warns;
-    }
-
-    const std::string &
-    path() const
-    {
-        return file_path;
-    }
-
-  private:
-    std::string file_path;
-    std::FILE *file = nullptr;
-    std::unordered_map<std::string, RunResult> results;
-    std::vector<std::string> warns;
-    std::uint64_t append_failures = 0;
 };
 
 } // namespace serve

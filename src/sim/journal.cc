@@ -5,16 +5,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/fnv.hh"
-
 #include "common/logging.hh"
-#include "sim/report.hh"
 
 namespace nosq {
 
@@ -40,202 +35,6 @@ hashParams(Fnv &fnv, const UarchParams &p)
     forEachUarchField(p, [&fnv](const char *key, const auto &v) {
         fnv.field(key, static_cast<std::uint64_t>(v));
     });
-}
-
-} // anonymous namespace
-
-// --- one-line record (de)serialization -------------------------------------
-//
-// Public (journal.hh): the serving layer persists and transports
-// results in this exact record shape.
-
-std::string
-runResultJsonLine(const RunResult &run)
-{
-    std::string json = toJson(run);
-    json.erase(std::remove(json.begin(), json.end(), '\n'),
-               json.end());
-    return json;
-}
-
-/**
- * Rejects a corrupt "-1", "1e300", or "123.5" so the record is
- * skipped and its job re-runs.
- */
-bool
-jsonExactCounter(const JsonValue &v, std::uint64_t &out)
-{
-    if (v.kind != JsonValue::Kind::Number)
-        return false;
-    const double d = v.number;
-    // Strictly below 2^53: at exactly 2^53 the double may already
-    // be a rounded 2^53+1, so the value is no longer provably the
-    // one that was written.
-    if (!(d >= 0.0) || d >= 9007199254740992.0 /* 2^53 */ ||
-        d != std::floor(d))
-        return false;
-    out = static_cast<std::uint64_t>(d);
-    return true;
-}
-
-static bool
-suiteFromName(const std::string &name, Suite &out)
-{
-    for (const Suite s : {Suite::Media, Suite::Int, Suite::Fp}) {
-        if (name == suiteName(s)) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
-/**
- * The counters are exact: they were emitted via std::to_string and
- * stay integral through the parser's double (all simulator counters
- * are far below 2^53). The derived "ipc" member is ignored --
- * SimResult recomputes it.
- */
-bool
-runResultFromJson(const JsonValue &v, RunResult &out)
-{
-    if (v.kind != JsonValue::Kind::Object)
-        return false;
-    const JsonValue *benchmark = v.find("benchmark");
-    const JsonValue *suite = v.find("suite");
-    const JsonValue *config = v.find("config");
-    const JsonValue *valid = v.find("valid");
-    const JsonValue *stats = v.find("stats");
-    if (!benchmark || benchmark->kind != JsonValue::Kind::String ||
-        !suite || suite->kind != JsonValue::Kind::String ||
-        !config || config->kind != JsonValue::Kind::String ||
-        !valid || valid->kind != JsonValue::Kind::Bool ||
-        !stats || stats->kind != JsonValue::Kind::Object)
-        return false;
-    out.benchmark = benchmark->string;
-    if (!suiteFromName(suite->string, out.suite))
-        return false;
-    out.config = config->string;
-    // Optional hierarchy label (memsys sweeps): must round-trip, or
-    // a resumed report would drop the field and no longer be
-    // byte-identical to an uninterrupted run's.
-    const JsonValue *memsys = v.find("memsys");
-    if (memsys != nullptr) {
-        if (memsys->kind != JsonValue::Kind::String)
-            return false;
-        out.memsys = memsys->string;
-    }
-    out.valid = valid->boolean;
-
-    // The same counter table the emitter and validator iterate, so
-    // a new SimResult counter cannot be silently dropped here.
-    bool ok = true;
-    forEachSimCounter(out.sim, [&](const char *key,
-                                   std::uint64_t &slot) {
-        const JsonValue *field = stats->find(key);
-        if (field == nullptr || !jsonExactCounter(*field, slot))
-            ok = false;
-    });
-    if (!ok)
-        return false;
-
-    // Sampled-run summary: optional (exact-mode records omit it),
-    // but a sampled record must restore every field or a resumed
-    // report would no longer be byte-identical. jsonNumber() emits
-    // shortest-round-trip doubles, so the parse restores the exact
-    // bit pattern.
-    const JsonValue *intervals = stats->find("sample_intervals");
-    if (intervals != nullptr) {
-        const JsonValue *ff = stats->find("sample_ff_insts");
-        const JsonValue *mean = stats->find("sample_ipc_mean");
-        const JsonValue *ci = stats->find("sample_ipc_ci95");
-        if (ff == nullptr || mean == nullptr || ci == nullptr ||
-            !jsonExactCounter(*intervals, out.sim.sampleIntervals) ||
-            !jsonExactCounter(*ff, out.sim.sampleFfInsts) ||
-            mean->kind != JsonValue::Kind::Number ||
-            ci->kind != JsonValue::Kind::Number)
-            return false;
-        out.sim.sampled = true;
-        out.sim.sampleIpcMean = mean->number;
-        out.sim.sampleIpcCi95 = ci->number;
-    }
-
-    // Multicore summary: optional (single-core records omit it),
-    // but a multicore record must restore the core count, every
-    // coherence counter, and every per-core row, or a resumed
-    // report would no longer be byte-identical.
-    const JsonValue *cores = stats->find("cores");
-    if (cores != nullptr) {
-        std::uint64_t n = 0;
-        if (!jsonExactCounter(*cores, n) || n == 0)
-            return false;
-        out.sim.multicore = true;
-        out.sim.numCores = n;
-        bool coh_ok = true;
-        forEachCoherenceCounter(
-            out.sim, [&](const char *key, std::uint64_t &slot) {
-                const JsonValue *field = stats->find(key);
-                if (field == nullptr ||
-                    !jsonExactCounter(*field, slot))
-                    coh_ok = false;
-            });
-        if (!coh_ok)
-            return false;
-        out.sim.perCore.assign(static_cast<std::size_t>(n), {});
-        for (std::size_t i = 0; i < out.sim.perCore.size(); ++i) {
-            const std::string prefix =
-                "core" + std::to_string(i) + "_";
-            forEachPerCoreCounter(
-                out.sim.perCore[i],
-                [&](const char *key, std::uint64_t &slot) {
-                    const JsonValue *field =
-                        stats->find(prefix + key);
-                    if (field == nullptr ||
-                        !jsonExactCounter(*field, slot))
-                        coh_ok = false;
-                });
-        }
-        if (!coh_ok)
-            return false;
-    }
-    return true;
-}
-
-namespace {
-
-std::string
-headerLine(const std::string &spec, std::size_t jobs)
-{
-    return std::string("{\"schema\": \"") + journal_schema +
-        "\", \"spec\": \"" + spec + "\", \"jobs\": " +
-        std::to_string(jobs) + "}";
-}
-
-std::string
-recordLine(const std::string &fingerprint, const RunResult &run)
-{
-    return "{\"fp\": \"" + fingerprint + "\", \"run\": " +
-        runResultJsonLine(run) + "}";
-}
-
-/** Split @p text into lines; a final unterminated fragment (the
- * half-written line a SIGKILL can leave) is kept as a line so the
- * loader can diagnose it. */
-std::vector<std::string>
-splitLines(const std::string &text)
-{
-    std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (start < text.size()) {
-        const std::size_t nl = text.find('\n', start);
-        if (nl == std::string::npos) {
-            lines.push_back(text.substr(start));
-            break;
-        }
-        lines.push_back(text.substr(start, nl - start));
-        start = nl + 1;
-    }
-    return lines;
 }
 
 /** Spec hash over already-computed per-job fingerprints. */
@@ -295,6 +94,11 @@ sweepFingerprint(const std::vector<SweepJob> &jobs)
 
 // --- SweepJournal ----------------------------------------------------------
 
+SweepJournal::SweepJournal(std::string path, bool resume_)
+    : log(journal_schema, "journal", std::move(path)),
+      resuming(resume_)
+{}
+
 SweepJournal
 SweepJournal::create(std::string path)
 {
@@ -308,58 +112,39 @@ SweepJournal::resume(std::string path)
 }
 
 SweepJournal::SweepJournal(SweepJournal &&other) noexcept
-    : file_path(std::move(other.file_path)),
-      resuming(other.resuming), bound(other.bound),
-      file(other.file), lock_fd(other.lock_fd),
-      write_error(std::move(other.write_error)),
-      appended(std::move(other.appended)),
+    : log(std::move(other.log)), resuming(other.resuming),
+      bound(other.bound), lock_fd(other.lock_fd),
       fingerprints(std::move(other.fingerprints)),
-      done(std::move(other.done)), loaded(std::move(other.loaded)),
-      done_count(other.done_count), warns(std::move(other.warns))
+      done(std::move(other.done)), done_count(other.done_count)
 {
-    other.file = nullptr;
     other.lock_fd = -1;
 }
 
 SweepJournal::~SweepJournal()
 {
-    closeFile();
-}
-
-void
-SweepJournal::closeFile()
-{
-    if (file != nullptr) {
-        std::fclose(file);
-        file = nullptr;
-    }
     if (lock_fd >= 0) {
         // Unlink BEFORE releasing the lock: a process that opened
-        // this inode meanwhile will fail bind()'s post-flock inode
+        // this inode meanwhile will fail lock()'s post-flock inode
         // check and retry against a fresh sidecar, so no two
         // holders can ever coexist, and no .lock litter remains.
-        std::remove((file_path + ".lock").c_str());
+        std::remove((path() + ".lock").c_str());
         ::close(lock_fd); // releases the flock
-        lock_fd = -1;
     }
 }
 
 void
-SweepJournal::bind(const std::vector<SweepJob> &jobs)
+SweepJournal::lock()
 {
-    nosq_assert(!bound, "journal bound twice");
-    bound = true;
-
     // Inter-process exclusion before any read or rewrite: two
     // concurrent resumes of one journal would silently lose each
     // other's records (the compaction rename orphans the inode the
     // other process appends to). The lock lives on a sidecar file
     // because the journal's own inode is replaced by that rename.
-    // closeFile() unlinks the sidecar while still holding the
+    // The destructor unlinks the sidecar while still holding the
     // lock, so after flocking we must confirm the file we locked
     // is still the one on disk (a racer may have locked a fresh
     // sidecar created after an unlink) and retry if not.
-    const std::string lock_path = file_path + ".lock";
+    const std::string lock_path = path() + ".lock";
     for (int attempt = 0; lock_fd < 0; ++attempt) {
         const int fd =
             ::open(lock_path.c_str(), O_CREAT | O_RDWR, 0644);
@@ -373,7 +158,7 @@ SweepJournal::bind(const std::vector<SweepJob> &jobs)
             // A genuinely live sweep holds its lock for the whole
             // run, far longer than this grace period.
             if (attempt >= 7) {
-                throw JournalError("'" + file_path + "' is in use "
+                throw JournalError("'" + path() + "' is in use "
                                    "by another sweep; refusing to "
                                    "share a journal");
             }
@@ -394,6 +179,14 @@ SweepJournal::bind(const std::vector<SweepJob> &jobs)
                                    "'");
         }
     }
+}
+
+void
+SweepJournal::bind(const std::vector<SweepJob> &jobs)
+{
+    nosq_assert(!bound, "journal bound twice");
+    bound = true;
+    lock();
 
     fingerprints.clear();
     fingerprints.reserve(jobs.size());
@@ -411,8 +204,16 @@ SweepJournal::bind(const std::vector<SweepJob> &jobs)
     const std::string spec =
         specFingerprint(jobs.size(), fingerprints);
     done.assign(jobs.size(), 0);
-    loaded.assign(jobs.size(), RunResult());
     done_count = 0;
+
+    // The header's spec fingerprint, or "" when it has none.
+    const auto header_spec = [](const JsonValue &header) {
+        const JsonValue *file_spec = header.find("spec");
+        return file_spec != nullptr &&
+                file_spec->kind == JsonValue::Kind::String
+            ? file_spec->string
+            : std::string();
+    };
 
     if (!resuming) {
         // A fresh --checkpoint over a journal of this very sweep is
@@ -420,211 +221,93 @@ SweepJournal::bind(const std::vector<SweepJob> &jobs)
         // truncating it would silently destroy every completed
         // job. Anything else at the path (other spec, not a
         // journal) is overwritten as requested.
-        if (std::FILE *in = std::fopen(file_path.c_str(), "rb")) {
+        if (std::FILE *in = std::fopen(path().c_str(), "rb")) {
             std::string first;
             int c;
             while ((c = std::fgetc(in)) != EOF && c != '\n')
                 first += static_cast<char>(c);
             std::fclose(in);
             JsonValue header;
-            if (parseJson(first, header, nullptr)) {
-                const JsonValue *schema = header.find("schema");
-                const JsonValue *file_spec = header.find("spec");
-                if (schema != nullptr &&
-                    schema->kind == JsonValue::Kind::String &&
-                    schema->string == journal_schema &&
-                    file_spec != nullptr &&
-                    file_spec->kind == JsonValue::Kind::String &&
-                    file_spec->string == spec) {
-                    throw JournalError(
-                        "'" + file_path + "' already journals this "
-                        "sweep; resume it (--resume) instead of "
-                        "overwriting, or delete the file first");
-                }
-            }
-        }
-    }
-
-    if (resuming) {
-        std::string text;
-        bool file_found = false;
-        if (std::FILE *in = std::fopen(file_path.c_str(), "rb")) {
-            file_found = true;
-            char buf[4096];
-            std::size_t n;
-            while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0)
-                text.append(buf, n);
-            std::fclose(in);
-        } else {
-            warns.push_back("journal '" + file_path +
-                            "' not found; starting fresh");
-        }
-        const std::vector<std::string> lines = splitLines(text);
-        if (file_found && lines.empty())
-            warns.push_back("journal '" + file_path +
-                            "' is empty; starting fresh");
-
-        // Header: parse/schema problems discard the journal (nothing
-        // below it can be trusted); a well-formed header naming a
-        // DIFFERENT sweep spec is a user error and refuses loudly.
-        bool header_ok = false;
-        if (!lines.empty()) {
-            JsonValue header;
             const JsonValue *schema = nullptr;
-            if (parseJson(lines[0], header, nullptr))
+            if (parseJson(first, header, nullptr))
                 schema = header.find("schema");
-            if (schema == nullptr) {
-                warns.push_back("journal header is corrupt; "
-                                "discarding all records");
-            } else if (schema->kind != JsonValue::Kind::String ||
-                       schema->string != journal_schema) {
-                warns.push_back("journal has schema '" +
-                                schema->string + "', expected '" +
-                                journal_schema +
-                                "'; discarding all records");
-            } else {
-                const JsonValue *file_spec = header.find("spec");
-                if (file_spec == nullptr ||
-                    file_spec->kind != JsonValue::Kind::String) {
-                    warns.push_back("journal header lacks a spec "
-                                    "fingerprint; discarding all "
-                                    "records");
-                } else if (file_spec->string != spec) {
-                    throw JournalError(
-                        "'" + file_path + "' was written by a "
-                        "different sweep spec (journal " +
-                        file_spec->string + ", current sweep " +
-                        spec + "); refusing to resume");
-                } else {
-                    header_ok = true;
-                    // The spec hash already encodes the job count,
-                    // so a disagreeing "jobs" field means the
-                    // header was edited -- records still verify
-                    // individually, but say so.
-                    const JsonValue *count = header.find("jobs");
-                    if (count == nullptr ||
-                        count->kind != JsonValue::Kind::Number ||
-                        count->number !=
-                            static_cast<double>(jobs.size())) {
-                        warns.push_back("journal header jobs count "
-                                        "disagrees with the sweep; "
-                                        "records are verified "
-                                        "individually");
-                    }
-                }
+            if (schema != nullptr &&
+                schema->kind == JsonValue::Kind::String &&
+                schema->string == journal_schema &&
+                header_spec(header) == spec) {
+                throw JournalError(
+                    "'" + path() + "' already journals this "
+                    "sweep; resume it (--resume) instead of "
+                    "overwriting, or delete the file first");
             }
         }
+    } else if (!log.load(path(), [&](const JsonValue &header) {
+                   // A header naming a DIFFERENT sweep spec is a user
+                   // error and refuses loudly; one without a spec is
+                   // discarded like any other untrusted header.
+                   const std::string file_spec = header_spec(header);
+                   if (file_spec.empty()) {
+                       log.warn("journal header lacks a spec "
+                                "fingerprint; discarding all records");
+                       return false;
+                   }
+                   if (file_spec != spec) {
+                       throw JournalError(
+                           "'" + path() + "' was written by a "
+                           "different sweep spec (journal " +
+                           file_spec + ", current sweep " + spec +
+                           "); refusing to resume");
+                   }
+                   // The spec hash already encodes the job count, so
+                   // a disagreeing "jobs" field means the header was
+                   // edited -- records still verify individually,
+                   // but say so.
+                   const JsonValue *count = header.find("jobs");
+                   if (count == nullptr ||
+                       count->kind != JsonValue::Kind::Number ||
+                       count->number !=
+                           static_cast<double>(jobs.size())) {
+                       log.warn("journal header jobs count disagrees "
+                                "with the sweep; records are verified "
+                                "individually");
+                   }
+                   return true;
+               })) {
+        log.warn("journal '" + path() + "' not found; starting fresh");
+    }
 
-        for (std::size_t n = 1; header_ok && n < lines.size(); ++n) {
-            const std::string where =
-                "journal record " + std::to_string(n);
-            JsonValue rec;
-            if (!parseJson(lines[n], rec, nullptr)) {
-                // A malformed line means the tail was cut mid-write;
-                // nothing after it is trustworthy.
-                warns.push_back(where + " is corrupt (truncated "
-                                "tail?); salvaging the " +
-                                std::to_string(done_count) +
-                                " records before it");
-                break;
-            }
-            const JsonValue *fp = rec.find("fp");
-            const JsonValue *run_json = rec.find("run");
-            RunResult run;
-            if (fp == nullptr ||
-                fp->kind != JsonValue::Kind::String ||
-                run_json == nullptr ||
-                !runResultFromJson(*run_json, run)) {
-                warns.push_back(where + " is malformed; skipping "
-                                "it");
-                continue;
-            }
-            const auto it = indices_of.find(fp->string);
-            if (it == indices_of.end()) {
-                warns.push_back(where + " fingerprint " +
-                                fp->string + " is not in this "
-                                "sweep's job list; skipping it");
-                continue;
-            }
-            if (!run.valid) {
-                warns.push_back(where + " is marked invalid; the "
-                                "job will re-run");
-                continue;
-            }
-            const SweepJob &job = jobs[it->second.front()];
-            const std::string job_bench =
-                job.profile ? job.profile->name : job.benchmark;
-            const Suite job_suite =
-                job.profile ? job.profile->suite : job.suite;
-            if (run.benchmark != job_bench ||
-                run.config != job.config ||
-                run.suite != job_suite ||
-                run.memsys != job.memsysLabel) {
-                warns.push_back(where + " labels disagree with its "
-                                "fingerprint's job; skipping it");
-                continue;
-            }
-            bool any_new = false;
-            for (const std::size_t index : it->second) {
-                if (done[index])
-                    continue;
-                loaded[index] = run;
-                done[index] = 1;
-                ++done_count;
-                any_new = true;
-            }
-            if (!any_new) {
-                warns.push_back(where + " duplicates fingerprint " +
-                                fp->string + "; keeping the first "
-                                "record");
-            }
+    log.retainIf([&](const ResultLog::Record &record) {
+        const auto it = indices_of.find(record.fp);
+        if (it == indices_of.end()) {
+            log.warn("journal record " + record.fp + " is not in this "
+                     "sweep's job list; skipping it");
+            return false;
         }
-
-        if (!header_ok && !text.empty()) {
-            // Nothing was salvaged, but the records may be hand-
-            // recoverable (e.g. one flipped header byte): keep the
-            // file aside rather than letting the rewrite below
-            // destroy it.
-            const std::string aside = file_path + ".corrupt";
-            std::remove(aside.c_str());
-            if (std::rename(file_path.c_str(), aside.c_str()) == 0)
-                warns.push_back("kept the unreadable journal at '" +
-                                aside + "' for manual recovery");
+        const SweepJob &job = jobs[it->second.front()];
+        const RunResult &run = record.run;
+        if (run.benchmark !=
+                (job.profile ? job.profile->name : job.benchmark) ||
+            run.config != job.config ||
+            run.suite != (job.profile ? job.profile->suite : job.suite) ||
+            run.memsys != job.memsysLabel) {
+            log.warn("journal record " + record.fp + " labels "
+                     "disagree with its fingerprint's job; skipping it");
+            return false;
         }
-    }
+        for (const std::size_t index : it->second)
+            done[index] = 1;
+        done_count += it->second.size();
+        return true;
+    });
 
-    // (Re)write the journal -- fresh header plus the salvaged
-    // records, in job-index order -- so corruption never survives a
-    // resume and appends land on a clean tail. The rewrite goes
-    // through a temp file + rename so a crash mid-compaction can
-    // never destroy the records a previous run already earned:
-    // either the old journal or the compacted one survives, whole.
-    const std::string tmp_path = file_path + ".tmp";
-    std::FILE *tmp = std::fopen(tmp_path.c_str(), "w");
-    if (tmp == nullptr)
-        throw JournalError("cannot write '" + tmp_path + "'");
-    std::string out = headerLine(spec, jobs.size()) + '\n';
-    for (std::size_t i = 0; i < done.size(); ++i)
-        if (done[i] && appended.insert(fingerprints[i]).second)
-            out += recordLine(fingerprints[i], loaded[i]) + '\n';
-    // fsync before the rename: without it a power loss after the
-    // rename but before writeback can leave an empty journal, which
-    // would break the either-old-or-new-survives guarantee (fflush
-    // alone only covers process death).
-    const bool wrote = std::fputs(out.c_str(), tmp) >= 0 &&
-        std::fflush(tmp) == 0 && ::fsync(::fileno(tmp)) == 0;
-    if (std::fclose(tmp) != 0 || !wrote) {
-        std::remove(tmp_path.c_str());
-        throw JournalError("error writing '" + tmp_path + "'");
-    }
-    if (std::rename(tmp_path.c_str(), file_path.c_str()) != 0) {
-        std::remove(tmp_path.c_str());
-        throw JournalError("cannot replace '" + file_path + "'");
-    }
-    // Reopen for the per-record appends.
-    file = std::fopen(file_path.c_str(), "a");
-    if (file == nullptr)
-        throw JournalError("cannot append to '" + file_path + "'");
+    // Compact -- fresh header plus the salvaged records -- so
+    // corruption never survives a resume and appends land on a clean
+    // tail.
+    log.setHeaderFields(", \"spec\": \"" + spec + "\", \"jobs\": " +
+                        std::to_string(jobs.size()));
+    std::string error;
+    if (!log.compact(error))
+        throw JournalError(error);
 }
 
 void
@@ -632,36 +315,7 @@ SweepJournal::record(std::size_t index, const RunResult &run)
 {
     nosq_assert(bound && index < fingerprints.size(),
                 "record() before bind() or out of range");
-    // Failed jobs are deliberately not journaled: a resumed sweep
-    // must retry them, not inherit their absence of statistics.
-    // statsValid -- the emitter's own predicate -- rather than the
-    // bare flag, so a record can never serialize as "valid": false
-    // and be discarded (and its job re-run) on every resume.
-    if (!statsValid(run))
-        return;
-    std::lock_guard<std::mutex> lock(write_mutex);
-    if (file == nullptr)
-        return;
-    // One record per unique tuple: when the job list contains
-    // duplicate tuples, the first completion covers them all.
-    if (!appended.insert(fingerprints[index]).second)
-        return;
-    const std::string line =
-        recordLine(fingerprints[index], run) + '\n';
-    // fflush per record hands the bytes to the OS, so losing them
-    // now takes a machine failure, not just a SIGKILL.
-    if (std::fputs(line.c_str(), file) < 0 ||
-        std::fflush(file) != 0) {
-        write_error = "journal append to '" + file_path +
-            "' failed; checkpointing disabled for the rest of the "
-            "sweep";
-        // Close only the journal handle. The flock must outlive
-        // the sweep: releasing it here would let a concurrent
-        // resume bind mid-run, the exact race the lock exists to
-        // refuse.
-        std::fclose(file);
-        file = nullptr;
-    }
+    log.put(fingerprints[index], run);
 }
 
 } // namespace nosq

@@ -5,50 +5,44 @@
  * Long multi-configuration sweeps (the paper's Figures 2-5 regenerated
  * at full instruction counts) can be interrupted -- CI timeouts,
  * preempted machines, plain SIGKILL. The journal makes a sweep
- * restartable: an append-only JSONL file records one line per
- * completed SweepJob, flushed per record, so an interrupted sweep
- * loses at most the jobs that were in flight when it died.
+ * restartable: one record per completed SweepJob, flushed per record,
+ * so an interrupted sweep loses at most the jobs that were in flight
+ * when it died.
  *
- * Format ("nosq-journal-v1"), one JSON document per line:
+ * The file is a ResultLog (sim/result_log.hh), which owns the record
+ * format, salvage, appends, compaction and the failure policy. This
+ * layer adds only what is specific to journals:
  *
  *   {"schema": "nosq-journal-v1", "spec": "<hex64>", "jobs": N}
  *   {"fp": "<hex64>", "run": {benchmark, suite, config, valid, stats}}
  *   ...
  *
- * The header's "spec" fingerprint hashes the whole job list (every
- * job's own fingerprint, in order), so a journal can never be resumed
- * against a different sweep spec: bind() refuses with a JournalError.
- * Each record's "fp" is the job fingerprint -- a hash of the full job
- * tuple (benchmark, suite, config name, seed, instruction counts, and
- * every UarchParams field) -- which is exactly the tuple the engine's
- * determinism contract says the result depends on. A journaled result
- * is therefore bit-identical to what re-running the job would
- * produce, and a resumed sweep's merged report is byte-identical to
- * an uninterrupted run's.
- *
- * Corruption tolerance: resuming salvages rather than aborts. A
- * missing file or an invalid/wrong-schema header discards the journal
- * (with a warning) and starts fresh; a malformed record line --
- * including the half-written final line a SIGKILL can leave -- ends
- * the salvaged prefix; a record whose fingerprint is unknown to the
- * job list, duplicates an earlier record, or disagrees with its
- * matched job is skipped individually (later records still verify by
- * fingerprint). Every salvage decision is reported via warnings(),
- * and bind() compacts the file back to the salvaged records so the
- * journal is clean before new appends.
+ *  - The header's "spec" fingerprint hashes the whole job list (every
+ *    job's own fingerprint, in order), so a journal can never be
+ *    resumed against a different sweep spec: bind() refuses with a
+ *    JournalError. A header without a spec is discarded like any
+ *    other bad header.
+ *  - Each record's "fp" is the job fingerprint -- a hash of the full
+ *    job tuple (benchmark, suite, config name, seed, instruction
+ *    counts, and every UarchParams field) -- which is exactly the
+ *    tuple the engine's determinism contract says the result depends
+ *    on. A journaled result is therefore bit-identical to what
+ *    re-running the job would produce, and a resumed sweep's merged
+ *    report is byte-identical to an uninterrupted run's. bind() maps
+ *    fingerprints to job indices and drops (with a warning) records
+ *    whose fingerprint is unknown to the job list or whose labels
+ *    disagree with their job, then compacts the file.
+ *  - A flock()ed sidecar refuses concurrent resumes of one journal.
  */
 
 #ifndef NOSQ_SIM_JOURNAL_HH
 #define NOSQ_SIM_JOURNAL_HH
 
-#include <cstdio>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
-#include "sim/report.hh"
+#include "sim/result_log.hh"
 #include "sim/sweep.hh"
 
 namespace nosq {
@@ -65,38 +59,6 @@ std::string jobFingerprint(const SweepJob &job);
 
 /** Fingerprint of a whole job list (count + every job fingerprint). */
 std::string sweepFingerprint(const std::vector<SweepJob> &jobs);
-
-// --- record (de)serialization seams -----------------------------------------
-//
-// The serving layer (src/serve/) persists and transports completed
-// RunResults in exactly the journal's record shape, so a daemon's
-// store and a sweep journal stay mutually intelligible. These are
-// the journal's own record helpers, exported.
-
-/**
- * toJson(RunResult) flattened to one JSONL-safe line. The emitter's
- * newlines only ever separate tokens (strings escape control
- * characters), so erasing them cannot corrupt a value.
- */
-std::string runResultJsonLine(const RunResult &run);
-
-/**
- * Rebuild a RunResult from a parsed record "run" object: the inverse
- * of runResultJsonLine(). Counters are exact (integral and below
- * 2^53 through the parser's double) and the sampled/multicore
- * summaries round-trip bit-identically, so a restored result is
- * indistinguishable from the freshly computed one.
- * @return false on any shape violation
- */
-bool runResultFromJson(const JsonValue &v, RunResult &out);
-
-/**
- * A JSON number that is exactly one of the emitter's integer
- * counters: integral, non-negative, and strictly below 2^53 (the
- * double-exact range). Anything else fails -- never an undefined or
- * silently truncating cast.
- */
-bool jsonExactCounter(const JsonValue &v, std::uint64_t &out);
 
 /**
  * Unresumable-journal error: the journal belongs to a different
@@ -118,10 +80,10 @@ class JournalError : public std::runtime_error
  * Lifecycle: construct via create() (fresh file) or resume()
  * (salvage an existing one), then bind() to the freshly built job
  * list before running. bind() verifies the spec fingerprint, matches
- * salvaged records to job indices, and (re)writes the file so it is
+ * salvaged records to job indices, and compacts the file so it is
  * clean for appends. During the sweep, record() appends one line per
- * completed job and flushes it immediately; record() is thread-safe
- * (runSweep calls it from worker threads).
+ * completed job; it is thread-safe (runSweep calls it from worker
+ * threads).
  */
 class SweepJournal
 {
@@ -144,7 +106,7 @@ class SweepJournal
     /**
      * Bind to the sweep's job list: fingerprint every job, verify
      * the journal header against sweepFingerprint(jobs), match
-     * salvaged records to job indices, and rewrite the file
+     * salvaged records to job indices, and compact the file
      * (header + salvaged records) ready for appends.
      *
      * @throws JournalError when the journal's spec fingerprint names
@@ -162,11 +124,11 @@ class SweepJournal
         return bound;
     }
 
-    /** Salvage/skip diagnostics accumulated by bind(). */
+    /** Salvage, skip and append diagnostics, in order. */
     const std::vector<std::string> &
     warnings() const
     {
-        return warns;
+        return log.warnings();
     }
 
     /** Jobs already completed by a previous run (after bind()). */
@@ -187,57 +149,54 @@ class SweepJournal
     const RunResult &
     doneResult(std::size_t index) const
     {
-        return loaded[index];
+        return log.get(fingerprints[index]);
     }
 
     /**
      * Append job @p index's completed result and flush it to the OS
      * so a SIGKILL cannot lose it. Thread-safe. Invalid (failed)
-     * results are not journaled -- a resumed sweep must retry them.
-     * A write failure (disk full) disables further journaling and is
-     * surfaced through writeError(), never by throwing mid-sweep.
+     * results are not journaled -- a resumed sweep must retry them --
+     * and duplicate job tuples share one record. A failed append is
+     * counted in appendFailures(), never thrown mid-sweep.
      */
     void record(std::size_t index, const RunResult &run);
 
-    /** First append failure, or empty when all appends succeeded. */
-    const std::string &
-    writeError() const
+    /** Appends not yet on disk; compact() heals them (runSweep()
+     * does so once the pool has joined). */
+    std::uint64_t
+    appendFailures() const
     {
-        return write_error;
+        return log.appendFailures();
+    }
+
+    /** Rewrite the file from memory (ResultLog::compact()). */
+    bool
+    compact(std::string &error)
+    {
+        return log.compact(error);
     }
 
     const std::string &
     path() const
     {
-        return file_path;
+        return log.path();
     }
 
   private:
-    explicit SweepJournal(std::string path_, bool resume_)
-        : file_path(std::move(path_)), resuming(resume_)
-    {}
+    SweepJournal(std::string path, bool resume_);
 
-    void closeFile();
+    void lock();
 
-    std::string file_path;
+    ResultLog log;
     bool resuming = false;
     bool bound = false;
-
-    std::mutex write_mutex;
-    std::FILE *file = nullptr;
     /** flock()ed sidecar ("<path>.lock") held from bind() until
      * destruction: concurrent resumes of one journal are refused. */
     int lock_fd = -1;
-    std::string write_error;
-    /** Fingerprints already written: duplicate job tuples share one
-     * record, and salvaged records are never re-appended. */
-    std::unordered_set<std::string> appended;
 
     std::vector<std::string> fingerprints; // per job index
     std::vector<char> done;                // per job index
-    std::vector<RunResult> loaded;         // per job index (done only)
     std::size_t done_count = 0;
-    std::vector<std::string> warns;
 };
 
 } // namespace nosq

@@ -551,6 +551,14 @@ runSweepImpl(const std::vector<SweepJob> &jobs,
             journal->record(index, results[index]);
     };
 
+    // Heal-on-compact: a failed append kept its record in memory
+    // only, so rewrite the journal once every job has finished.
+    auto heal = [&] {
+        std::string error;
+        if (journal != nullptr && journal->appendFailures() > 0)
+            journal->compact(error);
+    };
+
     if (num_workers <= 1) {
         std::size_t done = skipped;
         for (const std::size_t i : pending) {
@@ -559,6 +567,7 @@ runSweepImpl(const std::vector<SweepJob> &jobs,
             if (progress)
                 progress(++done, jobs.size(), i);
         }
+        heal();
         failures.throwIfFailed(results);
         return results;
     }
@@ -592,6 +601,7 @@ runSweepImpl(const std::vector<SweepJob> &jobs,
     queue.close();
     for (auto &thread : pool)
         thread.join();
+    heal();
     failures.throwIfFailed(results);
     return results;
 }

@@ -397,8 +397,10 @@ std::vector<RunResult> runSweep(const std::vector<SweepJob> &jobs,
  * already-completed jobs are skipped and their journaled results
  * merged into the returned vector at their job indices, and every
  * newly completed job is appended to the journal (flushed per
- * record, so an interrupted sweep loses at most in-flight jobs). The
- * merged result vector -- and hence the final report, reductions
+ * record, so an interrupted sweep loses at most in-flight jobs). If
+ * any append failed, the journal is compacted once after the last
+ * job finishes, which rewrites the missing records. The merged
+ * result vector -- and hence the final report, reductions
  * included -- is bit-identical to an uninterrupted run's.
  *
  * @throws JournalError if the journal names a different sweep spec

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "serve/fault.hh"
 #include "sim/journal.hh"
 #include "sim/report.hh"
 #include "sim/sweep.hh"
@@ -263,7 +264,7 @@ TEST(Journal, FreshJournalRecordsEveryCompletedJob)
         runSweep(jobs, journal, 2);
     EXPECT_EQ(runs.load(), 4u);
     EXPECT_TRUE(journal.warnings().empty());
-    EXPECT_TRUE(journal.writeError().empty());
+    EXPECT_EQ(journal.appendFailures(), 0u);
 
     // Header + one line per completed job.
     const std::vector<std::string> lines = fileLines(path);
@@ -769,6 +770,34 @@ TEST(Journal, EmptyJobListStillBindsAndRoundTrips)
     runSweep(none, journal, 1);
     EXPECT_TRUE(journal.warnings().empty());
     EXPECT_EQ(journal.doneCount(), 0u);
+    std::remove(path.c_str());
+}
+
+TEST(Journal, FailedAppendIsHealedAtTheEndOfTheSweep)
+{
+    const std::string path = tempPath("appendfail");
+    std::atomic<unsigned> runs{0};
+    const std::vector<SweepJob> jobs = countedJobs(runs, 4);
+    serve::FaultInjector &faults = serve::FaultInjector::global();
+    std::string error;
+    ASSERT_TRUE(faults.configure("store.write:fail@2", error)) << error;
+    {
+        // The second append is dropped; later appends proceed, and
+        // the end-of-sweep compaction rewrites the lost record.
+        SweepJournal journal = SweepJournal::create(path);
+        runSweep(jobs, journal, 1);
+        EXPECT_EQ(faults.fired(serve::FaultSite::StoreWrite), 1u);
+        EXPECT_EQ(journal.appendFailures(), 0u);
+        EXPECT_EQ(fileLines(path).size(), jobs.size() + 1);
+    }
+    ASSERT_TRUE(faults.configure("", error)) << error;
+
+    runs = 0;
+    SweepJournal resumed = SweepJournal::resume(path);
+    runSweep(jobs, resumed, 1);
+    EXPECT_EQ(runs.load(), 0u);
+    EXPECT_EQ(resumed.doneCount(), jobs.size());
+    EXPECT_TRUE(resumed.warnings().empty());
     std::remove(path.c_str());
 }
 

@@ -316,6 +316,29 @@ TEST(JobStore, WrongSchemaHeaderStartsFresh)
     std::remove(path.c_str());
 }
 
+TEST(JobStore, InvalidRecordIsNeverServed)
+{
+    const std::string path = tempPath("invalid");
+    // A well-formed record of a failed job: serving it as a cache
+    // hit would hand every later submit a result without statistics.
+    std::string run = runResultJsonLine(sampleRun(0));
+    const std::string valid = "\"valid\": true";
+    ASSERT_NE(run.find(valid), std::string::npos);
+    run.replace(run.find(valid), valid.size(), "\"valid\": false");
+    writeFile(path, "{\"schema\":\"nosq-store-v1\"}\n"
+                    "{\"fp\":\"" + fpOf(0) + "\",\"run\":" + run +
+                        "}\n");
+
+    JobStore store;
+    std::string error;
+    ASSERT_TRUE(store.open(path, error)) << error;
+    EXPECT_FALSE(store.warnings().empty());
+    EXPECT_FALSE(store.has(fpOf(0)));
+    EXPECT_EQ(store.size(), 0u);
+
+    std::remove(path.c_str());
+}
+
 TEST(JobStore, UnusablePathFails)
 {
     JobStore store;
