@@ -6,6 +6,7 @@
 #ifndef NOSQ_COMMON_TYPES_HH
 #define NOSQ_COMMON_TYPES_HH
 
+#include <cstddef>
 #include <cstdint>
 
 namespace nosq {
@@ -42,6 +43,16 @@ constexpr SSN invalid_ssn = ~SSN(0);
 
 /** Sentinel for "no instruction". */
 constexpr InstSeq invalid_seq = ~InstSeq(0);
+
+/** Smallest power of two >= @p n (n >= 1): ring capacities. */
+inline std::size_t
+nextPow2(std::size_t n)
+{
+    std::size_t p = 1;
+    while (p < n)
+        p <<= 1;
+    return p;
+}
 
 } // namespace nosq
 

@@ -39,16 +39,6 @@ makeParams(LsuMode mode, bool big_window)
 
 namespace {
 
-/** Smallest power of two >= @p n (n >= 1). */
-std::size_t
-nextPow2(std::size_t n)
-{
-    std::size_t p = 1;
-    while (p < n)
-        p <<= 1;
-    return p;
-}
-
 /**
  * Copy a (warmup-windowed) hierarchy snapshot into the run's
  * statistics block (SimResult shares the counter field names).
@@ -66,8 +56,12 @@ exportMemStats(const MemSysStats &m, SimResult &res)
 
 OooCore::OooCore(const UarchParams &params_,
                  std::shared_ptr<const Program> program)
-    : params(params_), stream(program), rename(params_.numPhysRegs),
-      mem(params_.memsys), branchPred(params_.branch),
+    : params(params_),
+      // Every fetched, unretired instruction sits in the fetch queue
+      // or the ROB; the stream sizes its record ring for that window.
+      stream(program, params_.robSize + params_.fetchBufferSize),
+      rename(params_.numPhysRegs), mem(params_.memsys),
+      branchPred(params_.branch),
       sq(params_.sqSize), storeSets(params_.storeSets),
       srq(256), bypassPred(params_.bypass), tssbf(params_.tssbf)
 {
@@ -250,7 +244,7 @@ OooCore::nextEventCycle()
     // contributes a wake), and baseline designated-store waits end
     // at the store's known completion cycle.
     if (!iqWaiting.empty()) {
-        const InstSeq front_seq = rob.front().di.seq;
+        const InstSeq front_seq = rob.front().di->seq;
         for (const InstSeq seq : iqWaiting) {
             const Inflight &inf =
                 rob.at(static_cast<std::size_t>(seq - front_seq));
@@ -266,7 +260,7 @@ OooCore::nextEventCycle()
             if (inf.waitStoreCommit)
                 continue; // released by the retirement chain
             const bool is_load =
-                !inf.isShiftUop && inf.di.cls == InstClass::Load;
+                !inf.isShiftUop && inf.di->cls == InstClass::Load;
             if (is_load && !params.isNosq() &&
                 inf.depSsn != invalid_ssn &&
                 inf.depSsn > ssn.commit) {
@@ -360,9 +354,10 @@ OooCore::doFetch()
         }
 
         // Fill the ring slot in place: Inflight is the pipeline's
-        // largest struct and this loop runs every cycle.
+        // largest struct and this loop runs every cycle. The trace
+        // record itself is not copied; the entry points at it.
         Inflight &inf = fetchQueue.emplaceBack();
-        inf.di = di;
+        inf.di = &di;
 
         if (di.isBranch()) {
             ++branches;
@@ -387,14 +382,14 @@ OooCore::doFetch()
 
         if (tracer) {
             tracer->event(obs::TraceLane::Fetch, "pipe", "fetch",
-                          cycle, inf.di.seq, inf.di.pc,
+                          cycle, inf.di->seq, inf.di->pc,
                           inf.branchMispredicted
                               ? "\"mispredict\":true" : "");
         }
 
         if (inf.branchMispredicted) {
             // Fetch must wait until this branch resolves.
-            redirectWaitSeq = inf.di.seq;
+            redirectWaitSeq = inf.di->seq;
             break;
         }
     }
@@ -409,11 +404,11 @@ OooCore::flushAfter(InstSeq boundary_seq)
 {
     // Squash ROB entries younger than the boundary, youngest first,
     // undoing rename state.
-    while (!rob.empty() && rob.back().di.seq > boundary_seq) {
+    while (!rob.empty() && rob.back().di->seq > boundary_seq) {
         Inflight &inf = rob.back();
         if (tracer) {
             tracer->event(obs::TraceLane::Commit, "pipe", "squash",
-                          cycle, inf.di.seq, inf.di.pc);
+                          cycle, inf.di->seq, inf.di->pc);
         }
         // Instructions already in the back-end pipe (same commit
         // group as the offender, or behind it) are squashed too;
@@ -423,8 +418,8 @@ OooCore::flushAfter(InstSeq boundary_seq)
             --backendCount;
         if (inf.allocatesDst || inf.sharesDst)
             rename.undo(inf.archDst, inf.physDst, inf.prevDst);
-        if (inf.di.isStore()) {
-            nosq_assert(ssn.rename == inf.di.ssn,
+        if (inf.di->isStore()) {
+            nosq_assert(ssn.rename == inf.di->ssn,
                         "SSN rewind out of order");
             // Rewinding SSNrename implicitly retires the squashed
             // store's storeSeqRing entry (live range check).
@@ -434,7 +429,7 @@ OooCore::flushAfter(InstSeq boundary_seq)
         }
         if (inf.inIq && !inf.issued)
             --iqCount;
-        if (!params.isNosq() && inf.di.isLoad())
+        if (!params.isNosq() && inf.di->isLoad())
             --lqOccupancy;
         rob.popBack();
     }
@@ -478,14 +473,14 @@ OooCore::findStoreBySsn(SSN target)
     const InstSeq seq = storeSeqRing[target & storeSeqMask];
     if (rob.empty())
         return nullptr;
-    const InstSeq front_seq = rob.front().di.seq;
+    const InstSeq front_seq = rob.front().di->seq;
     if (seq < front_seq)
         return nullptr;
     const std::size_t pos = static_cast<std::size_t>(seq - front_seq);
     if (pos >= rob.size())
         return nullptr;
     Inflight &inf = rob.at(pos);
-    nosq_assert(inf.di.seq == seq, "ROB seq indexing broken");
+    nosq_assert(inf.di->seq == seq, "ROB seq indexing broken");
     return &inf;
 }
 

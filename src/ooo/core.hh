@@ -55,7 +55,14 @@ inline constexpr std::size_t spct_size = 1 << 16;
 /** One in-flight instruction. */
 struct Inflight
 {
-    DynInst di;
+    /**
+     * The trace record, read in place from the TraceStream ring: the
+     * stream keeps it at this address until retirement has moved
+     * TraceStream::retire_margin instructions past it, which outlives
+     * every pipeline stage (squashed entries are dropped, and
+     * re-fetch re-points at the same record).
+     */
+    const DynInst *di = nullptr;
     /** Path history checkpoint taken at fetch/decode. */
     std::uint64_t pathHash = 0;
 

@@ -30,7 +30,7 @@ OooCore::doBackendEntry()
         Inflight &inf = rob.at(backendCount);
         if (!inf.completed(cycle))
             break;
-        const DynInst &di = inf.di;
+        const DynInst &di = *inf.di;
 
         if (di.isStore()) {
             if (dcache_port_used)
@@ -164,13 +164,13 @@ OooCore::trainBypass(const Inflight &inf, bool mispredicted)
     info.wasDelayed = inf.delayed;
     info.predictedDistValid = inf.predDistValid;
     info.predictedDist = inf.predDist;
-    bypassPred.train(inf.di.pc, inf.pathHash, info);
+    bypassPred.train(inf.di->pc, inf.pathHash, info);
 }
 
 void
 OooCore::retireLoad(Inflight &inf, bool &flushed)
 {
-    const DynInst &di = inf.di;
+    const DynInst &di = *inf.di;
     const std::uint64_t correct =
         readImage(di.addr, di.size, di.si.op);
 
@@ -232,7 +232,7 @@ OooCore::doRetire()
         if (!inf.inBackend || inf.retireCycle > cycle)
             break;
         tickWork = true;
-        const DynInst &di = inf.di;
+        const DynInst &di = *inf.di;
         bool flushed = false;
 
         if (di.isStore()) {

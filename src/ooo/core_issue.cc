@@ -52,7 +52,7 @@ OooCore::loadMayIssue(Inflight &inf)
 
     // Associative SQ search: a partial overlap stalls the load until
     // the overlapping store commits (conventional policy).
-    const auto r = sq.search(inf.di.addr, inf.di.size, inf.di.seq);
+    const auto r = sq.search(inf.di->addr, inf.di->size, inf.di->seq);
     if (r.outcome == SqSearchOutcome::Stall) {
         ++res.sqStalls;
         inf.waitStoreCommit = true;
@@ -65,7 +65,7 @@ OooCore::loadMayIssue(Inflight &inf)
 void
 OooCore::executeLoad(Inflight &inf)
 {
-    const DynInst &di = inf.di;
+    const DynInst &di = *inf.di;
 
     // Every load dispatched to the out-of-order engine reads the
     // data cache (in the baseline, in parallel with the SQ search).
@@ -100,7 +100,7 @@ OooCore::executeLoad(Inflight &inf)
 void
 OooCore::executeStore(Inflight &inf)
 {
-    const DynInst &di = inf.di;
+    const DynInst &di = *inf.di;
     sq.execute(di.ssn, di.addr, di.size, di.memValue);
     storeSets.storeExecuted(di.pc, di.ssn);
     inf.completeCycle = cycle + params.issueToExec;
@@ -119,7 +119,7 @@ OooCore::doIssue()
     // Walk the issue-candidate index (seq-ascending, so oldest first
     // exactly like the full ROB scan this replaced) and compact it in
     // place: issued entries drop out, everything else stays in order.
-    const InstSeq front_seq = rob.front().di.seq;
+    const InstSeq front_seq = rob.front().di->seq;
     std::size_t keep = 0;
     for (std::size_t k = 0; k < iqWaiting.size(); ++k) {
         const InstSeq seq = iqWaiting[k];
@@ -129,12 +129,12 @@ OooCore::doIssue()
         }
         Inflight &inf =
             rob.at(static_cast<std::size_t>(seq - front_seq));
-        nosq_assert(inf.di.seq == seq && inf.inIq && !inf.issued,
+        nosq_assert(inf.di->seq == seq && inf.inIq && !inf.issued,
                     "stale issue candidate");
 
         // Per-class issue limits (Section 4.1).
         const InstClass cls = inf.isShiftUop
-            ? InstClass::SimpleInt : inf.di.cls;
+            ? InstClass::SimpleInt : inf.di->cls;
         unsigned *count = nullptr;
         unsigned limit = 0;
         switch (cls) {
@@ -175,7 +175,7 @@ OooCore::doIssue()
 
         if (tracer) {
             tracer->event(obs::TraceLane::Issue, "pipe", "issue",
-                          cycle, inf.di.seq, inf.di.pc,
+                          cycle, inf.di->seq, inf.di->pc,
                           inf.isShiftUop ? "\"shift_uop\":true" : "");
         }
 
@@ -187,9 +187,9 @@ OooCore::doIssue()
             inf.completeCycle = cycle + params.issueToExec;
         } else {
             inf.completeCycle = cycle + params.issueToExec +
-                execLatency(inf.di.si.op) - 1;
-            if (inf.di.isBranch() && inf.branchMispredicted &&
-                redirectWaitSeq == inf.di.seq) {
+                execLatency(inf.di->si.op) - 1;
+            if (inf.di->isBranch() && inf.branchMispredicted &&
+                redirectWaitSeq == inf.di->seq) {
                 // Fetch redirects when the branch resolves.
                 fetchStalledUntil = std::max(fetchStalledUntil,
                                              inf.completeCycle + 1);

@@ -25,15 +25,15 @@ OooCore::doRename()
         Inflight &entry = rob.pushBack(inf);
         if (tracer) {
             tracer->event(obs::TraceLane::Rename, "pipe", "rename",
-                          cycle, entry.di.seq, entry.di.pc);
+                          cycle, entry.di->seq, entry.di->pc);
         }
         // Newly renamed IQ entries are by construction not yet
         // issued: register them as issue candidates.
         if (entry.inIq) {
             nosq_assert(iqWaiting.empty() ||
-                            iqWaiting.back() < entry.di.seq,
+                            iqWaiting.back() < entry.di->seq,
                         "issue-candidate index out of order");
-            iqWaiting.push_back(entry.di.seq);
+            iqWaiting.push_back(entry.di->seq);
         }
         fetchQueue.dropFront();
         ++renamed;
@@ -44,16 +44,16 @@ OooCore::doRename()
 void
 OooCore::renameSources(Inflight &inf)
 {
-    if (readsRa(inf.di.si))
-        inf.physA = rename.lookup(inf.di.si.ra);
-    if (readsRb(inf.di.si))
-        inf.physB = rename.lookup(inf.di.si.rb);
+    if (readsRa(inf.di->si))
+        inf.physA = rename.lookup(inf.di->si.ra);
+    if (readsRb(inf.di->si))
+        inf.physB = rename.lookup(inf.di->si.rb);
 }
 
 void
 OooCore::allocateDest(Inflight &inf)
 {
-    inf.archDst = inf.di.si.rd;
+    inf.archDst = inf.di->si.rd;
     inf.physDst = rename.allocate(inf.archDst, inf.prevDst);
     inf.allocatesDst = true;
 }
@@ -65,7 +65,7 @@ OooCore::allocateDest(Inflight &inf)
 bool
 OooCore::renameLoadNosq(Inflight &inf)
 {
-    const DynInst &di = inf.di;
+    const DynInst &di = *inf.di;
     const bool writes = writesReg(di.si);
 
     // --- decide bypass / delay / plain cache access -------------------
@@ -130,13 +130,13 @@ OooCore::renameLoadNosq(Inflight &inf)
         const SrqEntry &se = srq.read(ssn_byp);
 
         BypassPair pair;
-        pair.storeData = store->di.storeData;
+        pair.storeData = store->di->storeData;
         pair.storeSizeLog = se.sizeLog;
         pair.storeFpCvt = se.fpCvt;
         pair.loadSize = di.size;
         pair.loadExtend = loadExtend(di.si.op);
         pair.shiftBytes = params.mode == LsuMode::NosqPerfect
-            ? shiftAmount(store->di.addr, di.addr)
+            ? shiftAmount(store->di->addr, di.addr)
             : pred_shift;
 
         inf.bypassed = true;
@@ -205,7 +205,7 @@ OooCore::renameLoadNosq(Inflight &inf)
 void
 OooCore::renameLoadBaseline(Inflight &inf)
 {
-    const DynInst &di = inf.di;
+    const DynInst &di = *inf.di;
     if (writesReg(di.si))
         allocateDest(inf);
     ++lqOccupancy;
@@ -235,7 +235,7 @@ OooCore::renameLoadBaseline(Inflight &inf)
 void
 OooCore::renameStore(Inflight &inf)
 {
-    const DynInst &di = inf.di;
+    const DynInst &di = *inf.di;
     ++ssn.rename;
     nosq_assert(ssn.rename == di.ssn, "SSN diverged from oracle");
     storeSeqRing[di.ssn & storeSeqMask] = di.seq;
@@ -263,7 +263,7 @@ OooCore::renameStore(Inflight &inf)
 bool
 OooCore::renameOne(Inflight &inf)
 {
-    const DynInst &di = inf.di;
+    const DynInst &di = *inf.di;
     inf.ssnAtRename = ssn.rename;
 
     // --- SSN wraparound drain (Section 2) -----------------------------

@@ -1,5 +1,6 @@
 #include "workload/functional.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -125,8 +126,8 @@ FunctionalSim::step(DynInst &out, OracleBytes *bytes)
         std::uint32_t first_ssn = 0;
         bool single = true;
         bool partial = size < 8;
-        for (unsigned i = 0; i < size; ++i) {
-            const ByteWriter w = shadow.writer(addr + i);
+        shadow.forEachWriter(addr, size, [&](unsigned i,
+                                             const ByteWriter &w) {
             if (bytes != nullptr) {
                 bytes->writerSsn[i] = w.ssn;
                 bytes->writerSeq[i] = w.seq;
@@ -141,7 +142,7 @@ FunctionalSim::step(DynInst &out, OracleBytes *bytes)
                 w.size < 8) {
                 partial = true;
             }
-        }
+        });
         out.oracleWriterSsn = ys_ssn;
         out.oracleWriterSeq = ys_seq;
         out.oracleSingleWriter = first_ssn != 0 && single;
@@ -222,69 +223,69 @@ FunctionalSim::step(DynInst &out, OracleBytes *bytes)
     return true;
 }
 
-TraceStream::TraceStream(std::shared_ptr<const Program> program)
-    : func(std::move(program))
+TraceStream::TraceStream(std::shared_ptr<const Program> program,
+                         std::size_t window)
+    : func(std::move(program)),
+      ring(nextPow2(window + retire_margin + 1)), mask(ring.size() - 1)
 {
 }
 
-TraceStream::TraceStream(const Program &program)
-    : func(program)
+TraceStream::TraceStream(const Program &program, std::size_t window)
+    : TraceStream(std::make_shared<const Program>(program), window)
 {
 }
 
 bool
 TraceStream::fill()
 {
-    DynInst inst;
-    if (!func.step(inst))
+    // The slot for endSeq is baseSeq's once the ring is full: writing
+    // it would pull a live record out from under its holder.
+    nosq_assert(endSeq - baseSeq < ring.size(),
+                "trace ring overflow: unretired window exceeds capacity");
+    if (!func.step(slot(endSeq)))
         return false;
-    buffer.push_back(inst);
+    ++endSeq;
     return true;
 }
 
 bool
 TraceStream::hasNext()
 {
-    while (cursor >= buffer.size()) {
-        if (!fill())
-            return false;
-    }
-    return true;
+    return cursor < endSeq || fill();
 }
 
 const DynInst &
 TraceStream::peek()
 {
     nosq_assert(hasNext(), "peek past end of trace");
-    return buffer[cursor];
+    return slot(cursor);
 }
 
 const DynInst &
 TraceStream::next()
 {
     nosq_assert(hasNext(), "next past end of trace");
-    return buffer[cursor++];
+    return slot(cursor++);
 }
 
 void
 TraceStream::rewindTo(InstSeq seq)
 {
     nosq_assert(seq > retired, "rewind past retirement barrier");
-    nosq_assert(seq >= baseSeq && seq < baseSeq + buffer.size() + 1,
+    nosq_assert(seq >= baseSeq && seq <= endSeq,
                 "rewind target not buffered");
-    cursor = static_cast<std::size_t>(seq - baseSeq);
+    cursor = seq;
 }
 
 void
 TraceStream::retireUpTo(InstSeq seq)
 {
     retired = std::max(retired, seq);
-    // Keep a small margin so rewindTo(retired + 1) always works.
-    while (baseSeq + 64 <= retired && cursor > 64 && !buffer.empty()) {
-        buffer.pop_front();
-        ++baseSeq;
-        --cursor;
-    }
+    // Keep a retire_margin-record margin behind the barrier (and
+    // behind the cursor) so rewindTo(retired + 1) always works.
+    const InstSeq keep = std::min(retired + 1, cursor);
+    if (keep > baseSeq + retire_margin)
+        baseSeq = keep - retire_margin;
 }
 
 } // namespace nosq

@@ -12,8 +12,9 @@
 #define NOSQ_WORKLOAD_FUNCTIONAL_HH
 
 #include <array>
-#include <deque>
+#include <cstddef>
 #include <memory>
+#include <vector>
 
 #include "isa/program.hh"
 #include "workload/memory.hh"
@@ -89,14 +90,36 @@ class FunctionalSim
  * Rewindable stream of DynInsts on top of FunctionalSim.
  *
  * The timing model fetches through a cursor; on a pipeline flush it
- * rewinds the cursor to the squashed instruction. Entries older than
- * the retirement barrier are discarded to bound memory.
+ * rewinds the cursor to the squashed instruction. Records live in a
+ * fixed power-of-two ring: FunctionalSim::step writes each one
+ * straight into its slot (seq & mask) and the pipeline reads it in
+ * place, never copying it.
+ *
+ * Ownership: the stream owns every record. A record stays valid, at a
+ * stable address, until retireUpTo() has moved retire_margin
+ * instructions past it, so references handed out by peek()/next()
+ * may be held (OooCore's Inflight::di) for as long as the instruction
+ * is in flight. The ring is sized for the caller's largest unretired
+ * window; buffering more than that is an assertion failure.
  */
 class TraceStream
 {
   public:
-    explicit TraceStream(std::shared_ptr<const Program> program);
-    explicit TraceStream(const Program &program);
+    /**
+     * Records kept behind the retirement barrier, so that
+     * rewindTo(retiredSeq() + 1) always works.
+     */
+    static constexpr std::size_t retire_margin = 64;
+
+    /**
+     * @param window the most instructions the caller holds fetched but
+     *        unretired (OooCore: robSize + fetchBufferSize); the ring
+     *        holds nextPow2(window + retire_margin + 1) records, the 1
+     *        being the record peek() reads ahead of the cursor
+     */
+    TraceStream(std::shared_ptr<const Program> program,
+                std::size_t window);
+    TraceStream(const Program &program, std::size_t window);
 
     /** @return true if an instruction is available at the cursor. */
     bool hasNext();
@@ -117,20 +140,26 @@ class TraceStream
     void retireUpTo(InstSeq seq);
 
     /** Dynamic seq the cursor will deliver next (1-based). */
-    InstSeq cursorSeq() const { return baseSeq + cursor; }
+    InstSeq cursorSeq() const { return cursor; }
 
     /** Highest seq marked retired (the rewind barrier). */
     InstSeq retiredSeq() const { return retired; }
+
+    /** Ring size in records (a power of two). */
+    std::size_t capacity() const { return ring.size(); }
 
     FunctionalSim &functional() { return func; }
 
   private:
     bool fill();
+    DynInst &slot(InstSeq seq) { return ring[seq & mask]; }
 
     FunctionalSim func;
-    std::deque<DynInst> buffer;
-    InstSeq baseSeq = 1; // seq of buffer.front()
-    std::size_t cursor = 0;
+    std::vector<DynInst> ring;
+    std::size_t mask = 0;
+    InstSeq baseSeq = 1; // oldest buffered seq
+    InstSeq endSeq = 1;  // one past the youngest buffered seq
+    InstSeq cursor = 1;  // seq next() delivers
     InstSeq retired = 0;
 };
 

@@ -13,6 +13,7 @@
 #ifndef NOSQ_WORKLOAD_MEMORY_HH
 #define NOSQ_WORKLOAD_MEMORY_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -23,19 +24,95 @@
 
 namespace nosq {
 
-/** Byte-addressable sparse memory backed by 4KB pages. */
-class SparseMemory
+/**
+ * A sparse map of 4KB pages of T, materialized (value-initialized)
+ * on first write, with a last-page cache: successive accesses almost
+ * always share a page, so one tag check replaces a hash lookup.
+ * Pages are never freed and live behind unique_ptr, so the cached
+ * pointer survives map rehashes. Only present pages are cached (a
+ * miss on an unwritten page stays a map lookup).
+ */
+template <typename T>
+class PageMap
 {
   public:
     static constexpr unsigned page_bits = 12;
     static constexpr Addr page_size = Addr(1) << page_bits;
     static constexpr Addr page_mask = page_size - 1;
+    using Page = std::array<T, page_size>;
+
+    /** [addr, addr+size) lies inside one page. */
+    static bool
+    withinPage(Addr addr, std::size_t size)
+    {
+        return (addr & page_mask) + size <= page_size;
+    }
+
+    /** The page holding @p addr, or nullptr if it was never written. */
+    const Page *
+    find(Addr addr) const
+    {
+        const Addr tag = addr >> page_bits;
+        if (tag != cachedTag || cachedPage == nullptr) {
+            const auto it = pages.find(tag);
+            if (it == pages.end())
+                return nullptr;
+            cachedTag = tag;
+            cachedPage = it->second.get();
+        }
+        return cachedPage;
+    }
+
+    /** The page holding @p addr, materialized on first use. */
+    Page &
+    get(Addr addr)
+    {
+        const Addr tag = addr >> page_bits;
+        if (tag != cachedTag || cachedPage == nullptr) {
+            auto &slot = pages[tag];
+            if (!slot)
+                slot = std::make_unique<Page>();
+            cachedTag = tag;
+            cachedPage = slot.get();
+        }
+        return *cachedPage;
+    }
+
+    std::size_t size() const { return pages.size(); }
+
+  private:
+    std::unordered_map<Addr, std::unique_ptr<Page>> pages;
+    mutable Addr cachedTag = ~Addr(0);
+    mutable Page *cachedPage = nullptr;
+};
+
+/**
+ * Byte-addressable sparse memory. An access inside one page is one
+ * page lookup plus a memcpy; only accesses that straddle a page fall
+ * back to a lookup per byte.
+ */
+class SparseMemory
+{
+  public:
+    using Pages = PageMap<std::uint8_t>;
+    static constexpr unsigned page_bits = Pages::page_bits;
+    static constexpr Addr page_size = Pages::page_size;
+    static constexpr Addr page_mask = Pages::page_mask;
+
+    // The memcpy paths lay values out in host byte order.
+    static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+                  "SparseMemory assumes a little-endian host");
 
     /** Read @p size (1..8) bytes little-endian; unwritten bytes are 0. */
     std::uint64_t
     read(Addr addr, unsigned size) const
     {
         std::uint64_t value = 0;
+        if (Pages::withinPage(addr, size)) {
+            if (const Pages::Page *p = pages.find(addr))
+                std::memcpy(&value, p->data() + (addr & page_mask), size);
+            return value;
+        }
         for (unsigned i = 0; i < size; ++i)
             value |= std::uint64_t(readByte(addr + i)) << (8 * i);
         return value;
@@ -45,6 +122,11 @@ class SparseMemory
     void
     write(Addr addr, unsigned size, std::uint64_t value)
     {
+        if (Pages::withinPage(addr, size)) {
+            std::memcpy(pages.get(addr).data() + (addr & page_mask),
+                        &value, size);
+            return;
+        }
         for (unsigned i = 0; i < size; ++i)
             writeByte(addr + i, std::uint8_t(value >> (8 * i)));
     }
@@ -52,62 +134,35 @@ class SparseMemory
     std::uint8_t
     readByte(Addr addr) const
     {
-        const Addr tag = addr >> page_bits;
-        if (tag != cachedTag || cachedPage == nullptr) {
-            const auto it = pages.find(tag);
-            if (it == pages.end())
-                return 0;
-            cachedTag = tag;
-            cachedPage = it->second.get();
-        }
-        return (*cachedPage)[addr & page_mask];
+        const Pages::Page *p = pages.find(addr);
+        return p == nullptr ? 0 : (*p)[addr & page_mask];
     }
 
     void
     writeByte(Addr addr, std::uint8_t byte)
     {
-        const Addr tag = addr >> page_bits;
-        if (tag != cachedTag || cachedPage == nullptr) {
-            cachedPage = &page(addr);
-            cachedTag = tag;
-        }
-        (*cachedPage)[addr & page_mask] = byte;
+        pages.get(addr)[addr & page_mask] = byte;
     }
 
+    /** Copy @p len bytes to @p addr, one page-sized chunk at a time. */
     void
     writeBytes(Addr addr, const std::uint8_t *data, std::size_t len)
     {
-        for (std::size_t i = 0; i < len; ++i)
-            writeByte(addr + i, data[i]);
+        while (len > 0) {
+            const std::size_t offset = addr & page_mask;
+            const std::size_t chunk =
+                std::min<std::size_t>(len, page_size - offset);
+            std::memcpy(pages.get(addr).data() + offset, data, chunk);
+            addr += chunk;
+            data += chunk;
+            len -= chunk;
+        }
     }
 
     std::size_t numPages() const { return pages.size(); }
 
   private:
-    using Page = std::array<std::uint8_t, page_size>;
-
-    Page &
-    page(Addr addr)
-    {
-        auto &slot = pages[addr >> page_bits];
-        if (!slot) {
-            slot = std::make_unique<Page>();
-            slot->fill(0);
-        }
-        return *slot;
-    }
-
-    std::unordered_map<Addr, std::unique_ptr<Page>> pages;
-
-    // Last-page cache: accesses are byte-granular on the simulator's
-    // hottest path, and successive bytes almost always share a page,
-    // so one tag check replaces a hash lookup per byte. Pages are
-    // never freed and live behind unique_ptr, so the cached pointer
-    // survives map rehashes. Only present pages are cached (a miss
-    // on an unwritten page stays a map lookup); writeByte refreshes
-    // the cache when it materializes a page.
-    mutable Addr cachedTag = ~Addr(0);
-    mutable Page *cachedPage = nullptr;
+    Pages pages;
 };
 
 /** Last-writer record for one byte of memory. */
@@ -127,59 +182,59 @@ struct ByteWriter
 class ShadowMemory
 {
   public:
-    static constexpr unsigned page_bits = SparseMemory::page_bits;
-    static constexpr Addr page_size = SparseMemory::page_size;
-    static constexpr Addr page_mask = SparseMemory::page_mask;
+    using Pages = PageMap<ByteWriter>;
+    static constexpr Addr page_mask = Pages::page_mask;
 
     /** Record that store (@p ssn, @p seq) wrote [addr, addr+size). */
     void
     recordStore(Addr addr, unsigned size, SSN ssn, InstSeq seq)
     {
-        for (unsigned i = 0; i < size; ++i) {
-            ByteWriter &w = byte(addr + i);
-            w.ssn = static_cast<std::uint32_t>(ssn);
-            w.seq = static_cast<std::uint32_t>(seq);
-            w.size = static_cast<std::uint8_t>(size);
+        ByteWriter w;
+        w.ssn = static_cast<std::uint32_t>(ssn);
+        w.seq = static_cast<std::uint32_t>(seq);
+        w.size = static_cast<std::uint8_t>(size);
+        if (Pages::withinPage(addr, size)) {
+            std::fill_n(pages.get(addr).data() + (addr & page_mask),
+                        size, w);
+            return;
         }
+        for (unsigned i = 0; i < size; ++i)
+            pages.get(addr + i)[(addr + i) & page_mask] = w;
     }
 
     /** @return the last-writer record for @p addr. */
     ByteWriter
     writer(Addr addr) const
     {
-        const Addr tag = addr >> page_bits;
-        if (tag != cachedTag || cachedPage == nullptr) {
-            const auto it = pages.find(tag);
-            if (it == pages.end())
-                return ByteWriter();
-            cachedTag = tag;
-            cachedPage = it->second.get();
+        const Pages::Page *p = pages.find(addr);
+        return p == nullptr ? ByteWriter() : (*p)[addr & page_mask];
+    }
+
+    /**
+     * Call fn(i, writer) for each byte of [addr, addr+size), in
+     * address order. An access inside one page walks that page's
+     * records after one lookup; one that straddles a page falls back
+     * to a lookup per byte.
+     */
+    template <typename Fn>
+    void
+    forEachWriter(Addr addr, unsigned size, Fn &&fn) const
+    {
+        if (!Pages::withinPage(addr, size)) {
+            for (unsigned i = 0; i < size; ++i)
+                fn(i, writer(addr + i));
+            return;
         }
-        return (*cachedPage)[addr & page_mask];
+        const Pages::Page *p = pages.find(addr);
+        const ByteWriter none;
+        const ByteWriter *span =
+            p == nullptr ? nullptr : p->data() + (addr & page_mask);
+        for (unsigned i = 0; i < size; ++i)
+            fn(i, span == nullptr ? none : span[i]);
     }
 
   private:
-    using Page = std::array<ByteWriter, page_size>;
-
-    ByteWriter &
-    byte(Addr addr)
-    {
-        const Addr tag = addr >> page_bits;
-        if (tag != cachedTag || cachedPage == nullptr) {
-            auto &slot = pages[tag];
-            if (!slot)
-                slot = std::make_unique<Page>();
-            cachedTag = tag;
-            cachedPage = slot.get();
-        }
-        return (*cachedPage)[addr & page_mask];
-    }
-
-    std::unordered_map<Addr, std::unique_ptr<Page>> pages;
-
-    // Same last-page cache as SparseMemory (see there for safety).
-    mutable Addr cachedTag = ~Addr(0);
-    mutable Page *cachedPage = nullptr;
+    Pages pages;
 };
 
 } // namespace nosq

@@ -1,6 +1,7 @@
 /**
  * @file
- * Dynamic instruction records and the rewindable trace stream.
+ * Dynamic instruction records (the rewindable stream that owns them
+ * is TraceStream, workload/functional.hh).
  */
 
 #ifndef NOSQ_WORKLOAD_TRACE_HH
@@ -54,9 +55,11 @@ struct OracleBytes
  * outcomes are decided by genuine value comparison, never by oracle
  * flags.
  *
- * This struct is copied between pipeline stages every cycle; keep it
- * lean. Per-byte oracle detail lives in OracleBytes, off the hot
- * path.
+ * Each record is written once, into its slot of the TraceStream
+ * ring, and the pipeline reads it there through Inflight::di; it is
+ * never copied between stages. Keep it lean all the same: step()
+ * writes one per simulated instruction. Per-byte oracle detail lives
+ * in OracleBytes, off the hot path.
  */
 struct DynInst
 {

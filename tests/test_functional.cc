@@ -6,9 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <unordered_map>
+
 #include "isa/program.hh"
+#include "ooo/core.hh"
 #include "workload/functional.hh"
+#include "workload/generator.hh"
 #include "workload/memory.hh"
+#include "workload/profiles.hh"
 
 namespace nosq {
 namespace {
@@ -72,6 +78,121 @@ TEST(ShadowMemory, TracksLastWriterPerByte)
     EXPECT_EQ(s.writer(0x103).ssn, 2u);
     EXPECT_EQ(s.writer(0x104).ssn, 1u);
     EXPECT_FALSE(s.writer(0x200).valid());
+}
+
+/**
+ * Random accesses clustered around page boundaries, over pages that
+ * are written, read before any write, and never written at all.
+ */
+Addr
+randomAddr(std::mt19937_64 &rng)
+{
+    // Pages 0x10..0x13 are live; 0x40 is only ever read.
+    const Addr page = std::uniform_int_distribution<int>(0, 4)(rng) == 4
+        ? 0x40 : 0x10 + std::uniform_int_distribution<int>(0, 3)(rng);
+    const Addr offset = std::uniform_int_distribution<int>(0, 1)(rng)
+        ? std::uniform_int_distribution<Addr>(
+              SparseMemory::page_size - 12, SparseMemory::page_size - 1)(
+              rng)
+        : std::uniform_int_distribution<Addr>(
+              0, SparseMemory::page_size - 1)(rng);
+    return (page << SparseMemory::page_bits) + offset;
+}
+
+unsigned
+randomSize(std::mt19937_64 &rng)
+{
+    return 1u << std::uniform_int_distribution<int>(0, 3)(rng);
+}
+
+TEST(SparseMemory, PageAccessesMatchBytewiseModel)
+{
+    std::mt19937_64 rng(7);
+    SparseMemory m;
+    std::unordered_map<Addr, std::uint8_t> model;
+    auto model_read = [&](Addr a, unsigned size) {
+        std::uint64_t v = 0;
+        for (unsigned i = 0; i < size; ++i) {
+            const auto it = model.find(a + i);
+            if (it != model.end())
+                v |= std::uint64_t(it->second) << (8 * i);
+        }
+        return v;
+    };
+
+    int straddles = 0;
+    for (int op = 0; op < 20000; ++op) {
+        const Addr a = randomAddr(rng);
+        const unsigned size = randomSize(rng);
+        straddles += (a & SparseMemory::page_mask) + size >
+            SparseMemory::page_size;
+        switch (std::uniform_int_distribution<int>(0, 3)(rng)) {
+          case 0: {
+            if ((a >> SparseMemory::page_bits) == 0x40)
+                break; // keep the read-only page unwritten
+            const std::uint64_t v = rng();
+            m.write(a, size, v);
+            for (unsigned i = 0; i < size; ++i)
+                model[a + i] = std::uint8_t(v >> (8 * i));
+            break;
+          }
+          case 1: {
+            if ((a >> SparseMemory::page_bits) == 0x40)
+                break;
+            // A multi-page block write.
+            std::vector<std::uint8_t> data(
+                std::uniform_int_distribution<std::size_t>(
+                    1, 2 * SparseMemory::page_size + 3)(rng));
+            for (auto &b : data)
+                b = std::uint8_t(rng());
+            const Addr base = a & ~Addr(0xff);
+            m.writeBytes(base, data.data(), data.size());
+            for (std::size_t i = 0; i < data.size(); ++i)
+                model[base + i] = data[i];
+            break;
+          }
+          default:
+            ASSERT_EQ(m.read(a, size), model_read(a, size))
+                << "addr 0x" << std::hex << a << " size " << size;
+            ASSERT_EQ(m.readByte(a), model_read(a, 1));
+        }
+    }
+    EXPECT_GT(straddles, 1000);
+    // The read-only page was never materialized.
+    EXPECT_EQ(m.read(Addr(0x40) << SparseMemory::page_bits, 8), 0u);
+}
+
+TEST(ShadowMemory, PageWalkMatchesBytewiseModel)
+{
+    std::mt19937_64 rng(11);
+    ShadowMemory s;
+    std::unordered_map<Addr, ByteWriter> model;
+    for (int op = 1; op <= 20000; ++op) {
+        const Addr a = randomAddr(rng);
+        const unsigned size = randomSize(rng);
+        if ((a >> SparseMemory::page_bits) != 0x40 && rng() % 2 == 0) {
+            s.recordStore(a, size, op, 3 * op);
+            for (unsigned i = 0; i < size; ++i) {
+                ByteWriter &w = model[a + i];
+                w.ssn = op;
+                w.seq = 3 * op;
+                w.size = std::uint8_t(size);
+            }
+            continue;
+        }
+        unsigned visited = 0;
+        s.forEachWriter(a, size, [&](unsigned i, const ByteWriter &w) {
+            const auto it = model.find(a + i);
+            const ByteWriter want =
+                it == model.end() ? ByteWriter() : it->second;
+            EXPECT_EQ(i, visited++);
+            EXPECT_EQ(w.ssn, want.ssn);
+            EXPECT_EQ(w.seq, want.seq);
+            EXPECT_EQ(w.size, want.size);
+            EXPECT_EQ(s.writer(a + i).ssn, want.ssn);
+        });
+        ASSERT_EQ(visited, size);
+    }
 }
 
 TEST(Functional, AluBasics)
@@ -322,7 +443,7 @@ TEST(TraceStream, SequentialDelivery)
     b.add(5, 3, 4);
     b.halt();
     Program p = b.build();
-    TraceStream ts(p);
+    TraceStream ts(p, 8);
     EXPECT_EQ(ts.next().seq, 1u);
     EXPECT_EQ(ts.next().seq, 2u);
     EXPECT_EQ(ts.peek().seq, 3u);
@@ -340,7 +461,7 @@ TEST(TraceStream, RewindReplaysIdentically)
     b.ld8(5, 3, 0);
     b.halt();
     Program p = b.build();
-    TraceStream ts(p);
+    TraceStream ts(p, 8);
     std::vector<DynInst> first;
     for (int i = 0; i < 5; ++i)
         first.push_back(ts.next());
@@ -359,7 +480,7 @@ TEST(TraceStream, RetireBoundsBuffer)
     b.addi(3, 3, 1);
     b.jmp("top");
     Program p = b.build();
-    TraceStream ts(p);
+    TraceStream ts(p, 256);
     for (int i = 0; i < 10000; ++i) {
         const DynInst &di = ts.next();
         if (di.seq > 256)
@@ -368,6 +489,100 @@ TEST(TraceStream, RetireBoundsBuffer)
     // After retirement the stream can still rewind within the window.
     ts.rewindTo(ts.cursorSeq() - 64);
     EXPECT_TRUE(ts.hasNext());
+}
+
+/** An endless loop with a load and a store every iteration. */
+Program
+endlessLoop()
+{
+    ProgramBuilder b;
+    b.li(3, 0x2000);
+    b.label("top");
+    b.addi(4, 4, 1);
+    b.st8(3, 0, 4);
+    b.ld8(5, 3, 0);
+    b.jmp("top");
+    return b.build();
+}
+
+TEST(TraceStream, RecordsStayInPlaceWhileUnretired)
+{
+    TraceStream ts(endlessLoop(), 32);
+    const DynInst &held = ts.next();
+    const DynInst *where = &held;
+    const DynInst copy = held;
+    // Fill the rest of the ring without retiring the held record.
+    for (std::size_t i = 1; i < ts.capacity(); ++i)
+        ts.next();
+    EXPECT_EQ(&held, where);
+    EXPECT_EQ(held.seq, copy.seq);
+    EXPECT_EQ(held.pc, copy.pc);
+    EXPECT_EQ(held.npc, copy.npc);
+    ts.rewindTo(held.seq);
+    EXPECT_EQ(&ts.next(), where);
+}
+
+TEST(TraceStream, RingHoldsWindowPlusRetireMargin)
+{
+    // The core's pattern at its limit: `window` fetched-but-unretired
+    // records, retirement chasing the cursor, and rewinds to the
+    // barrier. None of it may trip the overflow assert, and every
+    // record in flight keeps its address. window + margin + 1 = 129
+    // is one past a power of two, so a ring sized without the
+    // peek-ahead slot would hold only 128.
+    constexpr std::size_t window = 64;
+    TraceStream ts(endlessLoop(), window);
+    std::vector<const DynInst *> inflight;
+    for (int i = 0; i < 5000; ++i) {
+        while (inflight.size() < window)
+            inflight.push_back(&ts.next());
+        ASSERT_TRUE(ts.hasNext()); // the peeked record fits too
+        for (std::size_t k = 0; k < inflight.size(); ++k)
+            ASSERT_EQ(inflight[k]->seq, inflight[0]->seq + k);
+        const std::size_t retire = 1 + i % 7;
+        ts.retireUpTo(inflight[retire - 1]->seq);
+        inflight.erase(inflight.begin(), inflight.begin() + retire);
+        if (i % 13 == 0) {
+            ts.rewindTo(ts.retiredSeq() + 1);
+            inflight.clear();
+        }
+    }
+}
+
+TEST(TraceStreamDeathTest, OverflowingTheWindowAsserts)
+{
+    EXPECT_DEATH(
+        {
+            TraceStream ts(endlessLoop(), 8);
+            for (std::size_t i = 0; i <= ts.capacity(); ++i)
+                ts.next();
+        },
+        "endSeq - baseSeq < ring.size");
+}
+
+TEST(TraceStream, BigWindowCoreRunsInEveryMode)
+{
+    const BenchmarkProfile *profile = findProfile("gcc");
+    ASSERT_NE(profile, nullptr);
+    const Program prog = synthesize(*profile, 1);
+    for (const auto mode : {LsuMode::SqPerfect, LsuMode::SqStoreSets,
+                            LsuMode::Nosq, LsuMode::NosqPerfect}) {
+        OooCore core(makeParams(mode, /*big_window=*/true), prog);
+        const SimResult r = core.run(6000, 2000);
+        EXPECT_EQ(r.insts, 6000u) << lsuModeName(mode);
+        EXPECT_TRUE(core.renameConsistent()) << lsuModeName(mode);
+    }
+
+    SamplingParams sp;
+    sp.enabled = true;
+    sp.ffLength = 3000;
+    sp.warmupLength = 500;
+    sp.interval = 1000;
+    sp.intervals = 4;
+    OooCore core(makeParams(LsuMode::Nosq, /*big_window=*/true), prog);
+    const SimResult s = core.runSampled(sp);
+    EXPECT_EQ(s.sampleIntervals, 4u);
+    EXPECT_EQ(s.insts, 4000u);
 }
 
 } // anonymous namespace
