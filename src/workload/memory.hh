@@ -41,11 +41,29 @@ class PageMap
     static constexpr Addr page_mask = page_size - 1;
     using Page = std::array<T, page_size>;
 
-    /** [addr, addr+size) lies inside one page. */
-    static bool
-    withinPage(Addr addr, std::size_t size)
+    /**
+     * Call fn(a, done, n) for each in-page piece [a, a+n) of
+     * [addr, addr+len), in address order; @p done is the piece's
+     * offset within the access. An access of 8 bytes or less is at
+     * most two pieces; an empty access has none. The one-piece case,
+     * almost every access, is tested up front so that it compiles to
+     * one lookup plus one copy rather than a loop.
+     */
+    template <typename Fn>
+    static void
+    forEachChunk(Addr addr, std::size_t len, Fn &&fn)
     {
-        return (addr & page_mask) + size <= page_size;
+        if (len != 0 && (addr & page_mask) + len <= page_size) {
+            fn(addr, std::size_t(0), len);
+            return;
+        }
+        for (std::size_t done = 0; done < len;) {
+            const Addr a = addr + done;
+            const std::size_t n = std::min<std::size_t>(
+                len - done, page_size - (a & page_mask));
+            fn(a, done, n);
+            done += n;
+        }
     }
 
     /** The page holding @p addr, or nullptr if it was never written. */
@@ -87,9 +105,8 @@ class PageMap
 };
 
 /**
- * Byte-addressable sparse memory. An access inside one page is one
- * page lookup plus a memcpy; only accesses that straddle a page fall
- * back to a lookup per byte.
+ * Byte-addressable sparse memory. Every access is one page lookup
+ * plus a memcpy per page it touches.
  */
 class SparseMemory
 {
@@ -99,7 +116,7 @@ class SparseMemory
     static constexpr Addr page_size = Pages::page_size;
     static constexpr Addr page_mask = Pages::page_mask;
 
-    // The memcpy paths lay values out in host byte order.
+    // read() and write() lay values out in host byte order.
     static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
                   "SparseMemory assumes a little-endian host");
 
@@ -108,13 +125,12 @@ class SparseMemory
     read(Addr addr, unsigned size) const
     {
         std::uint64_t value = 0;
-        if (Pages::withinPage(addr, size)) {
-            if (const Pages::Page *p = pages.find(addr))
-                std::memcpy(&value, p->data() + (addr & page_mask), size);
-            return value;
-        }
-        for (unsigned i = 0; i < size; ++i)
-            value |= std::uint64_t(readByte(addr + i)) << (8 * i);
+        auto *out = reinterpret_cast<std::uint8_t *>(&value);
+        Pages::forEachChunk(addr, size,
+                            [&](Addr a, std::size_t done, std::size_t n) {
+            if (const Pages::Page *p = pages.find(a))
+                std::memcpy(out + done, p->data() + (a & page_mask), n);
+        });
         return value;
     }
 
@@ -122,41 +138,25 @@ class SparseMemory
     void
     write(Addr addr, unsigned size, std::uint64_t value)
     {
-        if (Pages::withinPage(addr, size)) {
-            std::memcpy(pages.get(addr).data() + (addr & page_mask),
-                        &value, size);
-            return;
-        }
-        for (unsigned i = 0; i < size; ++i)
-            writeByte(addr + i, std::uint8_t(value >> (8 * i)));
+        writeBytes(addr, reinterpret_cast<const std::uint8_t *>(&value),
+                   size);
     }
 
     std::uint8_t
     readByte(Addr addr) const
     {
-        const Pages::Page *p = pages.find(addr);
-        return p == nullptr ? 0 : (*p)[addr & page_mask];
+        return static_cast<std::uint8_t>(read(addr, 1));
     }
 
-    void
-    writeByte(Addr addr, std::uint8_t byte)
-    {
-        pages.get(addr)[addr & page_mask] = byte;
-    }
-
-    /** Copy @p len bytes to @p addr, one page-sized chunk at a time. */
+    /** Copy @p len bytes to @p addr, materializing pages as needed. */
     void
     writeBytes(Addr addr, const std::uint8_t *data, std::size_t len)
     {
-        while (len > 0) {
-            const std::size_t offset = addr & page_mask;
-            const std::size_t chunk =
-                std::min<std::size_t>(len, page_size - offset);
-            std::memcpy(pages.get(addr).data() + offset, data, chunk);
-            addr += chunk;
-            data += chunk;
-            len -= chunk;
-        }
+        Pages::forEachChunk(addr, len,
+                            [&](Addr a, std::size_t done, std::size_t n) {
+            std::memcpy(pages.get(a).data() + (a & page_mask),
+                        data + done, n);
+        });
     }
 
     std::size_t numPages() const { return pages.size(); }
@@ -193,13 +193,10 @@ class ShadowMemory
         w.ssn = static_cast<std::uint32_t>(ssn);
         w.seq = static_cast<std::uint32_t>(seq);
         w.size = static_cast<std::uint8_t>(size);
-        if (Pages::withinPage(addr, size)) {
-            std::fill_n(pages.get(addr).data() + (addr & page_mask),
-                        size, w);
-            return;
-        }
-        for (unsigned i = 0; i < size; ++i)
-            pages.get(addr + i)[(addr + i) & page_mask] = w;
+        Pages::forEachChunk(addr, size,
+                            [&](Addr a, std::size_t, std::size_t n) {
+            std::fill_n(pages.get(a).data() + (a & page_mask), n, w);
+        });
     }
 
     /** @return the last-writer record for @p addr. */
@@ -211,26 +208,21 @@ class ShadowMemory
     }
 
     /**
-     * Call fn(i, writer) for each byte of [addr, addr+size), in
-     * address order. An access inside one page walks that page's
-     * records after one lookup; one that straddles a page falls back
-     * to a lookup per byte.
+     * Call fn(i, writer) for each byte i of [addr, addr+size), in
+     * address order, walking each touched page's records after one
+     * lookup.
      */
     template <typename Fn>
     void
     forEachWriter(Addr addr, unsigned size, Fn &&fn) const
     {
-        if (!Pages::withinPage(addr, size)) {
-            for (unsigned i = 0; i < size; ++i)
-                fn(i, writer(addr + i));
-            return;
-        }
-        const Pages::Page *p = pages.find(addr);
-        const ByteWriter none;
-        const ByteWriter *span =
-            p == nullptr ? nullptr : p->data() + (addr & page_mask);
-        for (unsigned i = 0; i < size; ++i)
-            fn(i, span == nullptr ? none : span[i]);
+        Pages::forEachChunk(addr, size,
+                            [&](Addr a, std::size_t done, std::size_t n) {
+            const Pages::Page *p = pages.find(a);
+            for (std::size_t j = 0; j < n; ++j)
+                fn(unsigned(done + j), p == nullptr
+                       ? ByteWriter() : (*p)[(a & page_mask) + j]);
+        });
     }
 
   private:

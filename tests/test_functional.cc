@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 #include <unordered_map>
 
 #include "isa/program.hh"
@@ -158,8 +159,15 @@ TEST(SparseMemory, PageAccessesMatchBytewiseModel)
         }
     }
     EXPECT_GT(straddles, 1000);
-    // The read-only page was never materialized.
-    EXPECT_EQ(m.read(Addr(0x40) << SparseMemory::page_bits, 8), 0u);
+    // Reads and empty writes never materialize a page: the only pages
+    // present are the ones a write touched, so page 0x40 is absent.
+    const std::uint8_t unused = 0;
+    m.writeBytes(Addr(0x40) << SparseMemory::page_bits, &unused, 0);
+    std::set<Addr> written;
+    for (const auto &kv : model)
+        written.insert(kv.first >> SparseMemory::page_bits);
+    EXPECT_EQ(written.count(0x40), 0u);
+    EXPECT_EQ(m.numPages(), written.size());
 }
 
 TEST(ShadowMemory, PageWalkMatchesBytewiseModel)
