@@ -171,6 +171,8 @@ OooCore::tick()
     doIssue();
     doRename();
     doFetch();
+    if (tickObserver)
+        tickObserver(*this);
 }
 
 // ---------------------------------------------------------------------
@@ -245,23 +247,17 @@ OooCore::nextEventCycle()
     // at the store's known completion cycle.
     if (!iqWaiting.empty()) {
         const InstSeq front_seq = rob.front().di->seq;
-        for (const InstSeq seq : iqWaiting) {
-            const Inflight &inf =
-                rob.at(static_cast<std::size_t>(seq - front_seq));
-            Cycle src = 0;
-            if (inf.physA != invalid_phys_reg)
-                src = std::max(src, rename.readyAt(inf.physA));
-            if (inf.physB != invalid_phys_reg)
-                src = std::max(src, rename.readyAt(inf.physB));
+        for (const IssueCandidate &c : iqWaiting) {
+            const Cycle src = operandsReadyAt(c);
             if (src > cycle) {
                 consider(src);
                 continue;
             }
+            const Inflight &inf =
+                rob.at(static_cast<std::size_t>(c.seq - front_seq));
             if (inf.waitStoreCommit)
                 continue; // released by the retirement chain
-            const bool is_load =
-                !inf.isShiftUop && inf.di->cls == InstClass::Load;
-            if (is_load && !params.isNosq() &&
+            if (c.cls == InstClass::Load && !params.isNosq() &&
                 inf.depSsn != invalid_ssn &&
                 inf.depSsn > ssn.commit) {
                 const Inflight *store = findStoreBySsn(inf.depSsn);
@@ -427,8 +423,6 @@ OooCore::flushAfter(InstSeq boundary_seq)
             if (!params.isNosq())
                 sq.squashAfter(boundary_seq);
         }
-        if (inf.inIq && !inf.issued)
-            --iqCount;
         if (!params.isNosq() && inf.di->isLoad())
             --lqOccupancy;
         rob.popBack();
@@ -436,7 +430,7 @@ OooCore::flushAfter(InstSeq boundary_seq)
 
     // Squashed issue candidates: iqWaiting is seq-ascending, so the
     // squashed set is exactly its tail.
-    while (!iqWaiting.empty() && iqWaiting.back() > boundary_seq)
+    while (!iqWaiting.empty() && iqWaiting.back().seq > boundary_seq)
         iqWaiting.pop_back();
 
     // Un-renamed fetched instructions are simply dropped.

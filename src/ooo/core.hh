@@ -22,6 +22,7 @@
 #ifndef NOSQ_OOO_CORE_HH
 #define NOSQ_OOO_CORE_HH
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -52,9 +53,17 @@ class PipeTracer;
 /** Store PC table size: SSN -> PC for committed stores (SPCT). */
 inline constexpr std::size_t spct_size = 1 << 16;
 
-/** One in-flight instruction. */
+/**
+ * One in-flight instruction.
+ *
+ * Fields are ordered by size (8, 4, 2, then 1 byte) so the struct
+ * packs without alignment holes; the ROB and fetch queue hold one
+ * per window slot and doIssue/doRetire walk them every cycle. A new
+ * field raises the sizeof bound below on purpose, not by accident.
+ */
 struct Inflight
 {
+    // --- 8-byte fields --------------------------------------------------
     /**
      * The trace record, read in place from the TraceStream ring: the
      * stream keeps it at this address until retirement has moved
@@ -65,57 +74,53 @@ struct Inflight
     const DynInst *di = nullptr;
     /** Path history checkpoint taken at fetch/decode. */
     std::uint64_t pathHash = 0;
+    Cycle renameReady = 0;      // scheduling: earliest rename cycle
+    Cycle completeCycle = 0;    // scheduling
+    Cycle retireCycle = 0;      // back end
+    SSN ssnByp = invalid_ssn;   // memory: bypass source store
+    SSN depSsn = invalid_ssn;   // StoreSets: wait for this store
+    SSN waitSsn = 0;            // issue when SSNcommit >= waitSsn
+    SSN ssnNvul = 0;
+    std::uint64_t value = 0;    // load value obtained speculatively
+    /** Commit-time training snapshot (NoSQ): SSNrename observed when
+     * this instruction renamed. */
+    SSN ssnAtRename = 0;
 
-    // --- rename state -------------------------------------------------
+    // --- 4-byte fields --------------------------------------------------
+    unsigned predShift = 0;     // memory: bypass shift amount
+    /** The predictor's distance (diagnostics; see predDistValid). */
+    unsigned predDist = 0;
+    unsigned trainDist = 0;     // commit-time training snapshot
+    unsigned trainShift = 0;
+    unsigned trainSizeLog = 3;
+
+    // --- 2-byte fields: rename state ------------------------------------
     PhysReg physA = invalid_phys_reg;
     PhysReg physB = invalid_phys_reg;
     PhysReg physDst = invalid_phys_reg;
     PhysReg prevDst = invalid_phys_reg;
     RegIndex archDst = reg_zero;
-    bool allocatesDst = false;
-    bool sharesDst = false; // SMB short-circuit (refcounted)
 
-    // --- scheduling ------------------------------------------------------
-    bool inIq = false;
+    // --- 1-byte fields --------------------------------------------------
+    bool allocatesDst = false;  // rename
+    bool sharesDst = false;     // rename: SMB short-circuit (refcounted)
+    bool inIq = false;          // scheduling
     bool issued = false;
     bool completedFlag = false;
-    Cycle renameReady = 0;  // earliest rename cycle
-    Cycle completeCycle = 0;
-
-    // --- memory behaviour --------------------------------------------------
-    bool bypassed = false;   // SMB handled this load
-    bool isShiftUop = false; // partial-word bypass occupies the IQ
-    bool delayed = false;    // confidence delay (or baseline stall)
-    SSN ssnByp = invalid_ssn;
-    unsigned predShift = 0;
+    bool bypassed = false;      // memory: SMB handled this load
+    bool isShiftUop = false;    // partial-word bypass occupies the IQ
+    bool delayed = false;       // confidence delay (or baseline stall)
     /** The predictor produced this decision (diagnostics). */
     bool predBypass = false;
     bool predHit = false;
     bool predDistValid = false;
-    unsigned predDist = 0;
-    SSN depSsn = invalid_ssn;   // StoreSets: wait for this store
     bool waitStoreCommit = false;
-    SSN waitSsn = 0;            // issue when SSNcommit >= waitSsn
-    SSN ssnNvul = 0;
-    std::uint64_t value = 0;    // load value obtained speculatively
     bool sawSqForward = false;
-
-    // --- back end -----------------------------------------------------------
-    bool inBackend = false;
+    bool inBackend = false;     // back end
     bool reexec = false;
-    Cycle retireCycle = 0;
-
-    // --- commit-time training snapshot (NoSQ) ----------------------------
-    /** SSNrename observed when this instruction renamed. */
-    SSN ssnAtRename = 0;
-    bool trainDistKnown = false;
-    unsigned trainDist = 0;
+    bool trainDistKnown = false; // commit-time training snapshot
     bool trainCovers = false;
-    unsigned trainShift = 0;
-    unsigned trainSizeLog = 3;
-
-    // --- front end ----------------------------------------------------------
-    bool branchMispredicted = false;
+    bool branchMispredicted = false; // front end
 
     bool
     completed(Cycle now) const
@@ -123,6 +128,25 @@ struct Inflight
         return completedFlag && completeCycle <= now;
     }
 };
+static_assert(sizeof(Inflight) <= 136,
+              "Inflight grew: keep fields ordered by size and raise "
+              "the bound deliberately");
+
+/**
+ * One issue-queue entry as the select loop sees it: everything
+ * doIssue needs to reject a candidate without touching its ROB slot.
+ * All fields are fixed at rename. A shift & mask uop's class is
+ * SimpleInt (it issues on a simple-integer port), so the record's
+ * class is the issue class, not the trace record's class.
+ */
+struct IssueCandidate
+{
+    InstSeq seq;
+    PhysReg physA;
+    PhysReg physB;
+    InstClass cls;
+};
+static_assert(sizeof(IssueCandidate) <= 16);
 
 /** The configurable out-of-order core. */
 class OooCore
@@ -221,6 +245,25 @@ class OooCore
     /** Rename-state invariant check (for tests). */
     bool renameConsistent() const { return rename.consistent(); }
 
+    /**
+     * Issue-index invariant check (for tests): the candidate records
+     * are seq-ascending, each matches its ROB entry's operands and
+     * issue class, and every ROB entry waiting in the issue queue
+     * has exactly one record.
+     */
+    bool issueIndexConsistent() const;
+
+    /**
+     * Call @p fn at the end of every tick(), when the pipeline sits
+     * at a stage boundary (tests hang invariant checks here, also
+     * inside run() and runSampled()); an empty function detaches.
+     */
+    void
+    setTickObserver(std::function<void(const OooCore &)> fn)
+    {
+        tickObserver = std::move(fn);
+    }
+
   private:
     // --- pipeline stages (core.cc / core_*.cc) -----------------------
     void doFetch();
@@ -238,7 +281,7 @@ class OooCore
     void renameStore(Inflight &inf);
 
     // --- issue helpers ----------------------------------------------------
-    bool sourcesReady(const Inflight &inf) const;
+    Cycle operandsReadyAt(const IssueCandidate &c) const;
     bool loadMayIssue(Inflight &inf);
     void executeLoad(Inflight &inf);
     void executeStore(Inflight &inf);
@@ -301,17 +344,16 @@ class OooCore
      */
     CircularBuffer<Inflight> rob;
     std::size_t backendCount = 0; // rob entries already in back-end
-    unsigned iqCount = 0;
     /**
-     * Issue-candidate index: the dynamic seqs of ROB entries that are
-     * in the issue queue and not yet issued, ascending (insertion
-     * order == rename order == seq order). doIssue walks and
-     * compacts this instead of scanning the whole window every
-     * cycle; flushAfter truncates the squashed tail. Selection order
-     * is identical to the full ROB scan it replaced, because both
-     * visit waiting entries oldest first.
+     * The issue queue: one IssueCandidate per ROB entry that is in
+     * the issue queue and not yet issued, seq-ascending (insertion
+     * order == rename order == seq order), so its size is the IQ
+     * occupancy. doIssue walks and compacts it oldest first, checking
+     * the class limit and operand readiness on the 16-byte record
+     * alone and touching the ROB slot only for a candidate that
+     * passes; flushAfter truncates the squashed tail.
      */
-    std::vector<InstSeq> iqWaiting;
+    std::vector<IssueCandidate> iqWaiting;
 
     // --- register state -----------------------------------------------------
     RenameState rename;
@@ -354,6 +396,8 @@ class OooCore
     /** Optional pipeline-event tracer (never owned, off by
      * default); see setTracer(). */
     obs::PipeTracer *tracer = nullptr;
+    /** Optional end-of-tick callback; see setTickObserver(). */
+    std::function<void(const OooCore &)> tickObserver;
 
     // --- results ------------------------------------------------------------
     SimResult res;

@@ -4,24 +4,33 @@
  * per LSU mode, store queue search, and cache access timing.
  */
 
+#include <algorithm>
+#include <array>
+
 #include "common/logging.hh"
 #include "obs/pipe_trace.hh"
 #include "ooo/core.hh"
 
 namespace nosq {
 
-bool
-OooCore::sourcesReady(const Inflight &inf) const
+namespace {
+
+/** InstClass values, Store being the last. */
+constexpr std::size_t num_inst_classes =
+    static_cast<std::size_t>(InstClass::Store) + 1;
+
+} // anonymous namespace
+
+/** Earliest cycle at which both of @p c's source operands are ready. */
+Cycle
+OooCore::operandsReadyAt(const IssueCandidate &c) const
 {
-    if (inf.physA != invalid_phys_reg &&
-        rename.readyAt(inf.physA) > cycle) {
-        return false;
-    }
-    if (inf.physB != invalid_phys_reg &&
-        rename.readyAt(inf.physB) > cycle) {
-        return false;
-    }
-    return true;
+    Cycle ready = 0;
+    if (c.physA != invalid_phys_reg)
+        ready = rename.readyAt(c.physA);
+    if (c.physB != invalid_phys_reg)
+        ready = std::max(ready, rename.readyAt(c.physB));
+    return ready;
 }
 
 /**
@@ -112,56 +121,34 @@ OooCore::doIssue()
     if (iqWaiting.empty())
         return;
 
+    // Per-class issue limits (Section 4.1), indexed by InstClass.
+    const std::array<unsigned, num_inst_classes> limit = {
+        params.issueSimple, params.issueComplex, params.issueBranch,
+        params.issueLoad, params.issueStore};
+    std::array<unsigned, num_inst_classes> issued{};
     unsigned total = 0;
-    unsigned n_simple = 0, n_complex = 0, n_branch = 0;
-    unsigned n_load = 0, n_store = 0;
 
-    // Walk the issue-candidate index (seq-ascending, so oldest first
-    // exactly like the full ROB scan this replaced) and compact it in
-    // place: issued entries drop out, everything else stays in order.
+    // Walk the issue queue oldest first (it is seq-ascending) and
+    // compact it in place: issued entries drop out, everything else
+    // stays in order. The class limit and operand check read the
+    // record alone; the ROB slot is touched only for a candidate
+    // that passes both.
     const InstSeq front_seq = rob.front().di->seq;
     std::size_t keep = 0;
     for (std::size_t k = 0; k < iqWaiting.size(); ++k) {
-        const InstSeq seq = iqWaiting[k];
-        if (total >= params.issueWidth) {
-            iqWaiting[keep++] = seq;
+        const IssueCandidate c = iqWaiting[k];
+        const auto cls = static_cast<std::size_t>(c.cls);
+        if (total >= params.issueWidth || issued[cls] >= limit[cls] ||
+            operandsReadyAt(c) > cycle) {
+            iqWaiting[keep++] = c;
             continue;
         }
         Inflight &inf =
-            rob.at(static_cast<std::size_t>(seq - front_seq));
-        nosq_assert(inf.di->seq == seq && inf.inIq && !inf.issued,
+            rob.at(static_cast<std::size_t>(c.seq - front_seq));
+        nosq_assert(inf.di->seq == c.seq && inf.inIq && !inf.issued,
                     "stale issue candidate");
-
-        // Per-class issue limits (Section 4.1).
-        const InstClass cls = inf.isShiftUop
-            ? InstClass::SimpleInt : inf.di->cls;
-        unsigned *count = nullptr;
-        unsigned limit = 0;
-        switch (cls) {
-          case InstClass::SimpleInt:
-            count = &n_simple;
-            limit = params.issueSimple;
-            break;
-          case InstClass::ComplexIntFp:
-            count = &n_complex;
-            limit = params.issueComplex;
-            break;
-          case InstClass::Branch:
-            count = &n_branch;
-            limit = params.issueBranch;
-            break;
-          case InstClass::Load:
-            count = &n_load;
-            limit = params.issueLoad;
-            break;
-          case InstClass::Store:
-            count = &n_store;
-            limit = params.issueStore;
-            break;
-        }
-        if (*count >= limit || !sourcesReady(inf) ||
-            (cls == InstClass::Load && !loadMayIssue(inf))) {
-            iqWaiting[keep++] = seq;
+        if (c.cls == InstClass::Load && !loadMayIssue(inf)) {
+            iqWaiting[keep++] = c;
             continue;
         }
 
@@ -169,8 +156,7 @@ OooCore::doIssue()
         tickWork = true;
         inf.issued = true;
         inf.completedFlag = true;
-        --iqCount;
-        ++*count;
+        ++issued[cls];
         ++total;
 
         if (tracer) {
@@ -179,9 +165,9 @@ OooCore::doIssue()
                           inf.isShiftUop ? "\"shift_uop\":true" : "");
         }
 
-        if (cls == InstClass::Load) {
+        if (c.cls == InstClass::Load) {
             executeLoad(inf);
-        } else if (cls == InstClass::Store) {
+        } else if (c.cls == InstClass::Store) {
             executeStore(inf);
         } else if (inf.isShiftUop) {
             inf.completeCycle = cycle + params.issueToExec;
@@ -206,6 +192,29 @@ OooCore::doIssue()
         }
     }
     iqWaiting.resize(keep);
+}
+
+bool
+OooCore::issueIndexConsistent() const
+{
+    // Both the ROB and the records are seq-ascending: match every
+    // waiting ROB entry to the next record, then require none left.
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < rob.size(); ++i) {
+        const Inflight &inf = rob.at(i);
+        if (!inf.inIq || inf.issued)
+            continue;
+        if (k == iqWaiting.size())
+            return false;
+        const IssueCandidate &c = iqWaiting[k++];
+        const InstClass cls =
+            inf.isShiftUop ? InstClass::SimpleInt : inf.di->cls;
+        if (c.seq != inf.di->seq || c.physA != inf.physA ||
+            c.physB != inf.physB || c.cls != cls) {
+            return false;
+        }
+    }
+    return k == iqWaiting.size();
 }
 
 } // namespace nosq

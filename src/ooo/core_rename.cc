@@ -28,12 +28,16 @@ OooCore::doRename()
                           cycle, entry.di->seq, entry.di->pc);
         }
         // Newly renamed IQ entries are by construction not yet
-        // issued: register them as issue candidates.
+        // issued: register them as issue candidates. Operands and
+        // issue class are final once rename is done.
         if (entry.inIq) {
             nosq_assert(iqWaiting.empty() ||
-                            iqWaiting.back() < entry.di->seq,
+                            iqWaiting.back().seq < entry.di->seq,
                         "issue-candidate index out of order");
-            iqWaiting.push_back(entry.di->seq);
+            iqWaiting.push_back(
+                {entry.di->seq, entry.physA, entry.physB,
+                 entry.isShiftUop ? InstClass::SimpleInt
+                                  : entry.di->cls});
         }
         fetchQueue.dropFront();
         ++renamed;
@@ -181,7 +185,6 @@ OooCore::renameLoadNosq(Inflight &inf)
             inf.physA = se.dtag;
             inf.physB = invalid_phys_reg;
             inf.inIq = true;
-            ++iqCount;
             ++res.shiftUops;
         }
         return true;
@@ -198,7 +201,6 @@ OooCore::renameLoadNosq(Inflight &inf)
         ++res.delayedLoads;
     }
     inf.inIq = true;
-    ++iqCount;
     return true;
 }
 
@@ -229,7 +231,6 @@ OooCore::renameLoadBaseline(Inflight &inf)
             inf.depSsn = *dep;
     }
     inf.inIq = true;
-    ++iqCount;
 }
 
 void
@@ -256,7 +257,6 @@ OooCore::renameStore(Inflight &inf)
         sq.allocate(di.ssn, di.seq);
         storeSets.storeRenamed(di.pc, di.ssn);
         inf.inIq = true;
-        ++iqCount;
     }
 }
 
@@ -291,7 +291,7 @@ OooCore::renameOne(Inflight &inf)
         lqOccupancy >= params.lqSize) {
         return false;
     }
-    if (needs_iq && iqCount >= params.iqSize)
+    if (needs_iq && iqWaiting.size() >= params.iqSize)
         return false;
     if (needs_phys && !rename.hasFree())
         return false;
@@ -319,7 +319,6 @@ OooCore::renameOne(Inflight &inf)
         return true;
     }
     inf.inIq = true;
-    ++iqCount;
     return true;
 }
 

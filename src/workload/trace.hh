@@ -63,14 +63,17 @@ struct OracleBytes
  */
 struct DynInst
 {
+    // Fields are ordered by alignment (8, 4, then 1 byte) so the
+    // record packs without holes; a new field raises the sizeof bound
+    // below on purpose, not by accident.
+
+    // --- 8-byte-aligned fields (si is two words) ----------------------
     InstSeq seq = 0; // 1-based dynamic sequence number
     Addr pc = 0;
+    Addr npc = 0; // control flow: next executed PC
     Instruction si;
-    InstClass cls = InstClass::SimpleInt;
-
-    // --- memory operations ------------------------------------------
+    /** Memory operations: the accessed address. */
     Addr addr = 0;
-    std::uint8_t size = 0;
     /** Stores: the full 64-bit value of the data register. */
     std::uint64_t storeData = 0;
     /** Raw bytes read/written at [addr, addr+size), little-endian. */
@@ -80,24 +83,26 @@ struct DynInst
     /** Stores: the store's oracle SSN (1-based). */
     SSN ssn = 0;
 
-    // --- load dependence oracle (precomputed summary) -----------------
+    // --- 4-byte fields: load dependence oracle (precomputed summary) --
     /** Youngest writer SSN over all accessed bytes (0: none). */
     std::uint32_t oracleWriterSsn = 0;
     /** Youngest writer dynamic seq over all accessed bytes (0: none). */
     std::uint32_t oracleWriterSeq = 0;
-    /** One single store wrote every accessed byte. */
+
+    // --- 1-byte fields ------------------------------------------------
+    InstClass cls = InstClass::SimpleInt;
+    std::uint8_t size = 0; // memory operations: access size in bytes
+    /** Load dependence oracle: one single store wrote every accessed
+     * byte. */
     bool oracleSingleWriter = false;
     /**
-     * The load classifies as partial-word communication if it
-     * communicates at all: it is sub-word itself, or some accessed
-     * byte was last written by a sub-word store still inside the
-     * comm_oracle_stores recent-store window.
+     * Load dependence oracle: the load classifies as partial-word
+     * communication if it communicates at all: it is sub-word itself,
+     * or some accessed byte was last written by a sub-word store
+     * still inside the comm_oracle_stores recent-store window.
      */
     bool oraclePartial = false;
-
-    // --- control flow -------------------------------------------------
-    bool taken = false;
-    Addr npc = 0; // next executed PC
+    bool taken = false;  // control flow
     bool halted = false;
 
     bool isLoad() const { return cls == InstClass::Load; }
@@ -120,6 +125,9 @@ struct DynInst
      */
     bool singleWriter() const { return oracleSingleWriter; }
 };
+static_assert(sizeof(DynInst) <= 96,
+              "DynInst grew: keep fields ordered by size and raise "
+              "the bound deliberately");
 
 } // namespace nosq
 

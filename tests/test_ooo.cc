@@ -2,8 +2,8 @@
  * @file
  * Timing-core tests: rename invariants, all four LSU modes on
  * hand-built programs, mis-speculation recovery, SVW filtering,
- * delay, SSN wraparound drains, and architectural equivalence with
- * the functional simulator.
+ * delay, SSN wraparound drains, architectural equivalence with the
+ * functional simulator, and the issue queue's per-tick invariant.
  */
 
 #include <gtest/gtest.h>
@@ -412,6 +412,89 @@ TEST(Core, BigWindowConfigRuns)
         const SimResult r = core.run(20000);
         EXPECT_EQ(r.insts, 20000u) << lsuModeName(mode);
         EXPECT_TRUE(core.renameConsistent());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Issue-candidate index
+// ---------------------------------------------------------------------
+
+/** What an end-of-tick issue-index check saw over one run. */
+struct IndexCheck
+{
+    std::uint64_t ticks = 0;
+    std::uint64_t bad = 0;   // ticks that ended inconsistent
+    Cycle firstBad = 0;
+};
+
+/** Check issueIndexConsistent() at the end of every tick of @p core. */
+void
+watchIssueIndex(OooCore &core, IndexCheck &check)
+{
+    core.setTickObserver([&check](const OooCore &c) {
+        ++check.ticks;
+        if (!c.issueIndexConsistent() && check.bad++ == 0)
+            check.firstBad = c.now();
+    });
+}
+
+TEST(Core, IssueIndexConsistentEveryTickAllModesBothWindows)
+{
+    for (const Program &p : {forwardingProgram(), hardProgram()}) {
+        for (const bool big : {false, true}) {
+            for (const auto mode : allModes()) {
+                OooCore core(makeParams(mode, big), p);
+                IndexCheck check;
+                watchIssueIndex(core, check);
+                const SimResult r = core.run(20000);
+                EXPECT_EQ(r.insts, 20000u) << lsuModeName(mode);
+                EXPECT_GT(check.ticks, 0u);
+                EXPECT_EQ(check.bad, 0u)
+                    << lsuModeName(mode) << (big ? " big" : "")
+                    << " window: first bad tick at cycle "
+                    << check.firstBad;
+            }
+        }
+    }
+}
+
+TEST(Core, IssueIndexConsistentEveryTickThroughFlushes)
+{
+    // No-delay NoSQ on the hard program mispredicts bypasses often:
+    // every flush truncates the issue queue mid-run.
+    UarchParams params = makeParams(LsuMode::Nosq);
+    params.nosqDelay = false;
+    OooCore core(params, hardProgram());
+    IndexCheck check;
+    watchIssueIndex(core, check);
+    const SimResult r = core.run(60000);
+    EXPECT_GT(r.loadFlushes, 0u) << "hard program caused no flushes";
+    EXPECT_GT(r.shiftUops, 0u) << "no shift uops entered the IQ";
+    EXPECT_EQ(check.bad, 0u)
+        << "first bad tick at cycle " << check.firstBad;
+}
+
+TEST(Core, IssueIndexConsistentEveryTickWhenSampled)
+{
+    // Each sampling period squashes to the committed boundary and
+    // fast-forwards with the window empty.
+    SamplingParams sp;
+    sp.enabled = true;
+    sp.ffLength = 5000;
+    sp.warmupLength = 1000;
+    sp.interval = 2000;
+    sp.intervals = 5;
+    sp.seed = 3;
+    for (const auto mode : {LsuMode::SqStoreSets, LsuMode::Nosq}) {
+        OooCore core(makeParams(mode), hardProgram());
+        IndexCheck check;
+        watchIssueIndex(core, check);
+        const SimResult r = core.runSampled(sp);
+        EXPECT_EQ(r.sampleIntervals, 5u) << lsuModeName(mode);
+        EXPECT_GT(check.ticks, 0u);
+        EXPECT_EQ(check.bad, 0u)
+            << lsuModeName(mode) << ": first bad tick at cycle "
+            << check.firstBad;
     }
 }
 
