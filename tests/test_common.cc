@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/circular_buffer.hh"
+#include "common/flags.hh"
 #include "common/rng.hh"
 #include "common/sat_counter.hh"
 #include "common/stats.hh"
@@ -212,6 +216,180 @@ TEST(Table, Formatters)
     EXPECT_EQ(fmtDouble(1.23456, 2), "1.23");
     EXPECT_EQ(fmtRatio(0.97), "0.970");
     EXPECT_EQ(fmtPct(12.34), "12.3");
+}
+
+/** A tool with modes "run" (the default), "sweep" and "list". */
+struct FlagsFixture
+{
+    std::string bench;
+    std::optional<unsigned> window;
+    bool json = false;
+    std::string dim;
+    flags::Parser parser{
+        "usage: tool [options]\n",
+        {{"run", ""}, {"sweep", "--sweep"}, {"list", "--list"}},
+        {{"--bench", flags::Arg::Required, "NAME", 3u, "benchmark",
+          flags::text(bench)},
+         {"--window", flags::Arg::Required, "SIZE", 3u, "128 or 256",
+          flags::number(window, 128, 256, "must be 128 or 256",
+                        [](std::uint64_t v) { return v % 128 == 0; })},
+         {"--json", flags::Arg::None, "", 2u, "JSON report",
+          flags::store(json, true)},
+         {"--sweep", flags::Arg::Optional, "DIM", 2u, "sweep",
+          flags::text(dim)},
+         {"--list", flags::Arg::None, "", 4u, "list", nullptr}}};
+};
+
+TEST(Flags, SpaceAndEqualsFormsParseIdentically)
+{
+    FlagsFixture a, b;
+    const flags::Parsed pa =
+        a.parser.parse({"--bench", "gcc", "--window", "256"});
+    const flags::Parsed pb =
+        b.parser.parse({"--bench=gcc", "--window=256"});
+    ASSERT_EQ(pa.status, flags::Parsed::Status::Ok) << pa.error;
+    ASSERT_EQ(pb.status, flags::Parsed::Status::Ok) << pb.error;
+    EXPECT_EQ(a.bench, "gcc");
+    EXPECT_EQ(b.bench, "gcc");
+    EXPECT_EQ(a.window, 256u);
+    EXPECT_EQ(b.window, 256u);
+    // A value may itself look like a flag or hold an '='.
+    FlagsFixture c;
+    EXPECT_EQ(c.parser.parse({"--bench", "--json=x"}).status,
+              flags::Parsed::Status::Ok);
+    EXPECT_EQ(c.bench, "--json=x");
+}
+
+TEST(Flags, OptionalValueTakesOnlyTheEqualsForm)
+{
+    FlagsFixture f;
+    flags::Parsed p = f.parser.parse({"--sweep=history", "--json"});
+    ASSERT_EQ(p.status, flags::Parsed::Status::Ok) << p.error;
+    EXPECT_EQ(p.mode, 1u);
+    EXPECT_EQ(f.dim, "history");
+    EXPECT_TRUE(f.json);
+    FlagsFixture g;
+    p = g.parser.parse({"--sweep", "--bench", "gcc"});
+    ASSERT_EQ(p.status, flags::Parsed::Status::Ok) << p.error;
+    EXPECT_EQ(g.dim, "");
+    EXPECT_EQ(g.bench, "gcc");
+    p = g.parser.parse({"--sweep="});
+    EXPECT_EQ(p.status, flags::Parsed::Status::Error);
+    EXPECT_EQ(p.error, "--sweep= needs a value");
+}
+
+TEST(Flags, MissingValueIsAnError)
+{
+    FlagsFixture f;
+    const flags::Parsed p = f.parser.parse({"--window", "128", "--bench"});
+    EXPECT_EQ(p.status, flags::Parsed::Status::Error);
+    EXPECT_EQ(p.error, "--bench needs a value");
+}
+
+TEST(Flags, UnknownFlagIsAnError)
+{
+    FlagsFixture f;
+    for (const std::vector<std::string> &args :
+         std::vector<std::vector<std::string>>{
+             {"--bogus"}, {"--bench", "gcc", "--bogus=1"}, {"gcc"}}) {
+        const flags::Parsed p = f.parser.parse(args);
+        EXPECT_EQ(p.status, flags::Parsed::Status::Error);
+        EXPECT_NE(p.error.find("unknown option"), std::string::npos)
+            << p.error;
+    }
+    const flags::Parsed p = f.parser.parse({"--json=1", "--sweep"});
+    EXPECT_EQ(p.status, flags::Parsed::Status::Error);
+    EXPECT_EQ(p.error, "--json takes no value");
+}
+
+TEST(Flags, ValidatorRejectsValue)
+{
+    for (const char *bad : {"64", "192", "abc", "128x", " 128", "+128",
+                            "-128", "", "99999999999999999999999"}) {
+        FlagsFixture f;
+        const flags::Parsed p = f.parser.parse({"--window", bad});
+        EXPECT_EQ(p.status, flags::Parsed::Status::Error) << bad;
+        EXPECT_EQ(p.error, "invalid --window '" + std::string(bad) +
+                               "' (must be 128 or 256)");
+        EXPECT_FALSE(f.window.has_value()) << bad;
+    }
+}
+
+TEST(Flags, FlagOutsideItsModeIsRejected)
+{
+    // The mode is chosen by the whole command line, so a selecting
+    // flag after the offending one still counts.
+    FlagsFixture f;
+    flags::Parsed p = f.parser.parse({"--json", "--bench", "gcc"});
+    EXPECT_EQ(p.status, flags::Parsed::Status::Error);
+    EXPECT_EQ(p.error, "--json applies only to sweep mode");
+    EXPECT_FALSE(f.json);
+    FlagsFixture g;
+    p = g.parser.parse({"--json", "--sweep"});
+    EXPECT_EQ(p.status, flags::Parsed::Status::Ok) << p.error;
+    EXPECT_TRUE(g.json);
+    p = g.parser.parse({"--list", "--bench", "gcc"});
+    EXPECT_EQ(p.error, "--bench applies only to run and sweep modes");
+    p = g.parser.parse({"--list"});
+    EXPECT_EQ(p.status, flags::Parsed::Status::Ok) << p.error;
+    EXPECT_EQ(p.mode, 2u);
+}
+
+TEST(Flags, TwoModeFlagsAreMutuallyExclusive)
+{
+    FlagsFixture f;
+    const flags::Parsed p = f.parser.parse({"--sweep", "--list"});
+    EXPECT_EQ(p.status, flags::Parsed::Status::Error);
+    EXPECT_EQ(p.error, "--sweep and --list are mutually exclusive");
+    // Repeating one mode flag is not a conflict; the last value wins.
+    EXPECT_EQ(f.parser.parse({"--sweep=a", "--sweep=b"}).status,
+              flags::Parsed::Status::Ok);
+    EXPECT_EQ(f.dim, "b");
+}
+
+TEST(Flags, HelpListsEveryFlagOnceAndEachParses)
+{
+    FlagsFixture f;
+    const std::string help = f.parser.help();
+    EXPECT_EQ(help.rfind("usage: tool [options]\n", 0), 0u);
+    const std::vector<std::pair<std::string, std::string>> listed = {
+        {"--bench NAME", "gcc"}, {"--window SIZE", "128"},
+        {"--json", ""}, {"--sweep[=DIM]", ""}, {"--list", ""},
+        {"--help", ""}};
+    for (const auto &[entry, value] : listed) {
+        const std::string line = "\n  " + entry + " ";
+        const std::size_t at = help.find(line);
+        ASSERT_NE(at, std::string::npos) << entry << " missing";
+        EXPECT_EQ(help.find(line, at + 1), std::string::npos)
+            << entry << " listed twice";
+        const std::string name = entry.substr(0, entry.find_first_of(" ["));
+        std::vector<std::string> args = {name};
+        if (!value.empty())
+            args.push_back(value);
+        // Run every flag in sweep mode, where all of them apply.
+        if (name != "--sweep" && name != "--list" && name != "--help")
+            args.push_back("--sweep");
+        FlagsFixture g;
+        const flags::Parsed p = g.parser.parse(args);
+        EXPECT_EQ(p.status, name == "--help"
+                                ? flags::Parsed::Status::Help
+                                : flags::Parsed::Status::Ok)
+            << entry << ": " << p.error;
+    }
+    EXPECT_NE(help.find("[run and sweep modes]"), std::string::npos);
+    EXPECT_NE(help.find("[sweep mode]"), std::string::npos);
+}
+
+TEST(Flags, ParseUnsignedIsStrict)
+{
+    std::uint64_t v = 0;
+    EXPECT_TRUE(flags::parseUnsigned("18446744073709551615", v));
+    EXPECT_EQ(v, ~std::uint64_t(0));
+    EXPECT_TRUE(flags::parseUnsigned("007", v));
+    EXPECT_EQ(v, 7u);
+    for (const char *bad : {"", "abc", "1x", "-1", "+1", " 1", "1 ",
+                            "18446744073709551616"})
+        EXPECT_FALSE(flags::parseUnsigned(bad, v)) << bad;
 }
 
 } // anonymous namespace

@@ -4,7 +4,8 @@
  *
  * Run any benchmark profile under any LSU configuration and print
  * the full statistics block, or run a parallel multi-configuration
- * sweep. Examples:
+ * sweep. Every flag is declared once, in makeParser()'s table.
+ * Examples:
  *
  *   nosq_sim --list
  *   nosq_sim --bench gzip
@@ -23,16 +24,16 @@
 
 #include <sys/stat.h>
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/table.hh"
 #include "memsys/coherence.hh"
 #include "obs/metrics.hh"
@@ -56,176 +57,6 @@ using namespace nosq;
 namespace {
 
 void
-usage()
-{
-    std::printf(
-        "usage: nosq_sim [options]\n"
-        "  --list                list benchmark profiles\n"
-        "  --bench NAME          benchmark to run (single-run mode:\n"
-        "                        required; sweep mode: restrict the\n"
-        "                        sweep to this benchmark)\n"
-        "  --mode MODE           perfect | storesets | nosq |\n"
-        "                        nosq-perfect   (default: nosq)\n"
-        "  --insts N             measured instructions "
-        "(default 300000)\n"
-        "  --warmup N            warm-up instructions "
-        "(default insts/3)\n"
-        "  --window SIZE         128 | 256 (default 128)\n"
-        "  --no-delay            disable the delay mechanism\n"
-        "  --no-svw              disable SVW filtering "
-        "(re-execute all)\n"
-        "  --history BITS        bypassing predictor history bits\n"
-        "  --entries N           bypassing predictor entries/table\n"
-        "  --mshrs N             L1D miss-status holding registers\n"
-        "                        (0: legacy blocking-latency miss\n"
-        "                        model, the default)\n"
-        "  --prefetch N          stream-prefetcher degree (lines per\n"
-        "                        trigger; 0: off, the default)\n"
-        "  --bus-occupancy       model DRAM-bus occupancy (queueing)\n"
-        "                        instead of the flat transfer cost\n"
-        "  --cores N             core count, 1..64 (default 1; > 1\n"
-        "                        runs an N-core System with a shared\n"
-        "                        coherent L2; a profile --bench\n"
-        "                        replicates homogeneously, a\n"
-        "                        multicore kernel --bench builds its\n"
-        "                        producer/consumer programs)\n"
-        "  --queue-depth N       multicore kernel ring slots, a power\n"
-        "                        of two in 8..4096 (default 16)\n"
-        "  --seed N              workload seed (default 1)\n"
-        "  --no-skip             disable event-driven cycle skipping\n"
-        "                        (a wall-clock optimization only;\n"
-        "                        statistics are bit-identical either\n"
-        "                        way)\n"
-        "  --sample SPEC         SMARTS-style sampled simulation:\n"
-        "                        SPEC is ff:warmup:interval:count\n"
-        "                        [:seed] in instructions. Each period\n"
-        "                        fast-forwards ff insts\n"
-        "                        architecturally, re-warms the timing\n"
-        "                        model for warmup insts, then\n"
-        "                        measures interval insts; stats are\n"
-        "                        sums over the measured intervals\n"
-        "                        plus a per-interval IPC mean and 95%%\n"
-        "                        confidence interval. seed != 0 adds\n"
-        "                        a random initial offset. Applies to\n"
-        "                        single runs and sweeps; --insts/\n"
-        "                        --warmup are ignored when sampling\n"
-        "sweep mode:\n"
-        "  --sweep               run a modes x windows x benchmarks\n"
-        "                        cross-product in parallel\n"
-        "  --sweep=capacity      Fig. 5 (top) dimension: NoSQ over\n"
-        "                        total predictor capacities vs a\n"
-        "                        SQ+perfect baseline\n"
-        "  --sweep=history       Fig. 5 (bottom) dimension: NoSQ\n"
-        "                        over path-history lengths (bounded\n"
-        "                        and unbounded capacity) vs a\n"
-        "                        SQ+perfect baseline\n"
-        "  --sweep=cache-reads   Fig. 4 pair: NoSQ vs the\n"
-        "                        associative-SQ baseline\n"
-        "  --sweep=memsys        memory-hierarchy dimension: L2\n"
-        "                        size/latency x MSHR count x\n"
-        "                        prefetcher on/off (16 points, DRAM\n"
-        "                        bus occupancy on), each point under\n"
-        "                        both the associative-SQ baseline\n"
-        "                        and NoSQ; report rows carry a\n"
-        "                        \"memsys\" hierarchy label\n"
-        "  --sweep=multicore     multi-core dimension: core count x\n"
-        "                        queue depth over the producer/\n"
-        "                        consumer kernels (spsc-ring,\n"
-        "                        mpsc-queue), each point under both\n"
-        "                        the associative-SQ baseline and\n"
-        "                        NoSQ; --bench restricts the kernel\n"
-        "                        set, --cores/--queue-depth pin one\n"
-        "                        grid axis\n"
-        "  --jobs N              worker threads (default: NOSQ_JOBS\n"
-        "                        env, else hardware concurrency)\n"
-        "  --suite NAME          media | int | fp | selected | all\n"
-        "                        (default: selected)\n"
-        "  --bench LIST          restrict the sweep to these\n"
-        "                        benchmarks (comma-separated)\n"
-        "  --modes LIST          comma-separated mode list, --sweep\n"
-        "                        only (default: all four modes, or\n"
-        "                        --mode when given)\n"
-        "  --windows LIST        comma-separated window sizes, each\n"
-        "                        128 or 256 (--sweep default:\n"
-        "                        128,256 or --window when given;\n"
-        "                        dimension sweeps take exactly one,\n"
-        "                        default 128)\n"
-        "  --capacities LIST     --sweep=capacity points: total\n"
-        "                        entries, K suffix allowed, Inf for\n"
-        "                        unbounded (default\n"
-        "                        64,128,256,512,1K,2K,4K,Inf)\n"
-        "  --checkpoint FILE     journal each completed job to FILE\n"
-        "                        (nosq-journal-v1 JSONL, flushed per\n"
-        "                        record; starts a fresh journal)\n"
-        "  --resume FILE         resume an interrupted sweep: skip\n"
-        "                        the jobs journaled in FILE, run the\n"
-        "                        rest, and keep journaling to FILE.\n"
-        "                        The merged report is byte-identical\n"
-        "                        to an uninterrupted run. Refuses a\n"
-        "                        journal from a different sweep spec;\n"
-        "                        corrupt records are salvaged up to\n"
-        "                        the damage with a warning\n"
-        "  --server SOCK         run the sweep on the nosq_sweepd\n"
-        "                        daemon listening at Unix socket\n"
-        "                        SOCK instead of in-process worker\n"
-        "                        threads; the report is\n"
-        "                        byte-identical to a local sweep.\n"
-        "                        Mutually exclusive with\n"
-        "                        --checkpoint/--resume (the daemon\n"
-        "                        owns its own persistent store)\n"
-        "  --server-status       print the daemon's one-line status\n"
-        "                        JSON (workers, executed,\n"
-        "                        cache_hits, ...) and exit;\n"
-        "                        requires --server\n"
-        "  --server-metrics      scrape the daemon's metrics\n"
-        "                        registry and print the Prometheus\n"
-        "                        text exposition (queue depth,\n"
-        "                        service-time histograms, fault\n"
-        "                        counters, ...) and exit; requires\n"
-        "                        --server\n"
-        "  --retries N           total --server connection attempts\n"
-        "                        before giving up; dropped\n"
-        "                        connections, 'draining', and\n"
-        "                        'overloaded' replies are retried\n"
-        "                        with exponential backoff + jitter,\n"
-        "                        resuming the result stream where\n"
-        "                        it left off (default: 5)\n"
-        "  --json                emit the nosq-sweep-v2 JSON report\n"
-        "                        (runs + per-suite reductions) to\n"
-        "                        stdout instead of a table\n"
-        "  --out FILE            write the JSON report to FILE (the\n"
-        "                        table still prints without --json)\n"
-        "  (--no-delay, --no-svw, --history, --entries, --mshrs,\n"
-        "   --prefetch, --bus-occupancy apply to every sweep\n"
-        "   configuration; the swept dimension wins on its own\n"
-        "   knob, and --history takes a comma list as the\n"
-        "   --sweep=history points)\n"
-        "observability:\n"
-        "  --trace-pipe SPEC     export a pipeline trace of the\n"
-        "                        single run as Chrome trace-event\n"
-        "                        JSON (chrome://tracing, Perfetto);\n"
-        "                        SPEC is FILE[:SKIP:COUNT]: trace\n"
-        "                        the COUNT instructions after the\n"
-        "                        first SKIP (default: first 50000).\n"
-        "                        Single-core single-run mode only\n"
-        "validation mode:\n"
-        "  --validate FILE       strict-parse FILE and check it\n"
-        "                        against the nosq-sweep-v2 schema;\n"
-        "                        exits nonzero on any violation\n"
-        "  --validate-trace FILE strict-parse FILE as a --trace-pipe\n"
-        "                        export: event shape plus\n"
-        "                        nondecreasing timestamps; prints\n"
-        "                        per-event-name counts and exits\n"
-        "                        nonzero on any violation\n"
-        "perf mode:\n"
-        "  --perf                time the simulator itself over the\n"
-        "                        reference workload (serial) and\n"
-        "                        emit nosq-bench-core-v1 JSON with\n"
-        "                        simulated MIPS to stdout; honours\n"
-        "                        --insts/--warmup and writes --out\n");
-}
-
-void
 listProfiles()
 {
     TextTable table;
@@ -238,20 +69,17 @@ listProfiles()
     std::fputs(table.render().c_str(), stdout);
 }
 
-bool
-parseMode(const std::string &name, LsuMode &mode)
+std::optional<LsuMode>
+parseMode(const std::string &name)
 {
-    if (name == "perfect")
-        mode = LsuMode::SqPerfect;
-    else if (name == "storesets")
-        mode = LsuMode::SqStoreSets;
-    else if (name == "nosq")
-        mode = LsuMode::Nosq;
-    else if (name == "nosq-perfect")
-        mode = LsuMode::NosqPerfect;
-    else
-        return false;
-    return true;
+    static const std::map<std::string, LsuMode> modes = {
+        {"perfect", LsuMode::SqPerfect},
+        {"storesets", LsuMode::SqStoreSets},
+        {"nosq", LsuMode::Nosq},
+        {"nosq-perfect", LsuMode::NosqPerfect}};
+    const auto it = modes.find(name);
+    return it == modes.end() ? std::nullopt
+                             : std::optional<LsuMode>(it->second);
 }
 
 std::vector<std::string>
@@ -271,133 +99,385 @@ splitList(const std::string &list)
     return items;
 }
 
+using CapacityPoints = std::vector<std::pair<std::string, unsigned>>;
+
+/**
+ * Parse a --capacities list. Each point is total entries with an
+ * optional K suffix, or Inf (0) for unbounded. Totals must be a
+ * multiple of 8 (two equally split 4-way tables) so the labeled
+ * capacity is exactly the simulated one, never a rounded
+ * approximation.
+ * @return an error message, or "" on success
+ */
+std::string
+parseCapacities(const std::string &list, CapacityPoints &points)
+{
+    points.clear();
+    for (const std::string &label : splitList(list)) {
+        if (label == "Inf" || label == "inf") {
+            points.emplace_back(label, 0);
+            continue;
+        }
+        char *end = nullptr;
+        const unsigned long v = std::strtoul(label.c_str(), &end, 10);
+        unsigned long scale = 1;
+        if (*end == 'K' || *end == 'k') {
+            scale = 1024;
+            ++end;
+        }
+        // 2^30 caps any sane geometry and keeps v * scale far from
+        // wrapping the 32-bit total.
+        if (end == label.c_str() || *end != '\0' || v == 0 ||
+            v > (1ul << 30) / scale || (v * scale) % 8 != 0)
+            return "invalid capacity '" + label + "' (total entries, "
+                   "multiple of 8, K suffix allowed, or Inf)";
+        points.emplace_back(label, static_cast<unsigned>(v * scale));
+    }
+    return "";
+}
+
+/** The modes of operation; a single run is the default. */
+enum Mode : unsigned {
+    Run, Sweep, Perf, List, Validate, ValidateTrace, ServerStatus,
+    ServerMetrics
+};
+constexpr unsigned RUN = 1u << Run, SWEEP = 1u << Sweep,
+                   PERF = 1u << Perf;
+
 /** Which family of configurations a sweep invocation runs. */
 enum class SweepKind {
     Cross, Capacity, History, CacheReads, Memsys, Multicore
 };
 
-struct SweepOptions
+/**
+ * Every flag's value. Each field is set by one makeParser() entry;
+ * an unset std::optional keeps the configuration's own value.
+ */
+struct Options
 {
-    SweepKind kind = SweepKind::Cross;
-    std::string suite = "selected";
+    // Workload and machine: a single run, and every sweep config.
     std::string bench;
-    std::string modes;
-    std::string windows = "128,256";
-    bool windows_explicit = false;
-    std::string capacities = "64,128,256,512,1K,2K,4K,Inf";
-    bool capacities_explicit = false;
-    std::string history_list;
-    std::uint64_t insts = 0;
-    std::uint64_t warmup = ~std::uint64_t(0);
+    std::optional<LsuMode> mode;
+    std::uint64_t insts = 300000;
+    std::optional<std::uint64_t> warmup;
+    std::optional<unsigned> window;
     std::uint64_t seed = 1;
+    bool delay = true;
+    bool svw = true;
+    /** --history: one length, or the --sweep=history points. */
+    std::vector<unsigned> history;
+    std::optional<unsigned> entries;
+    std::optional<unsigned> mshrs;
+    std::optional<unsigned> prefetch;
+    bool bus_occupancy = false;
+    std::optional<unsigned> cores;
+    std::optional<unsigned> queue_depth;
+    bool event_skip = true;
+    SamplingParams sampling;
+    std::string trace_pipe;
+    // Sweep.
+    SweepKind kind = SweepKind::Cross;
     unsigned jobs = 0;
+    std::vector<const BenchmarkProfile *> suite = selectedProfiles();
+    std::vector<LsuMode> modes;
+    std::vector<unsigned> windows;
+    CapacityPoints capacities;
     bool json = false;
-    std::string out_path;
-    std::string checkpoint_path;
-    std::string resume_path;
+    std::string out;
+    std::string checkpoint;
+    std::string resume;
     /** nosq_sweepd socket; non-empty runs the sweep as a client. */
     std::string server;
     /** Total --server connection attempts (see RetryPolicy). */
     unsigned retries = 5;
-    // Single-run knobs forwarded into every sweep configuration.
-    bool delay = true;
-    bool svw = true;
-    bool history_set = false;
-    unsigned history_bits = 8;
-    bool entries_set = false;
-    unsigned entries = 1024;
-    bool mshrs_set = false;
-    unsigned mshrs = 0;
-    bool prefetch_set = false;
-    unsigned prefetch = 0;
-    bool bus_occupancy = false;
-    bool event_skip = true;
-    bool cores_set = false;
-    unsigned cores = 1;
-    bool queue_depth_set = false;
-    unsigned queue_depth = 0;
-    SamplingParams sampling;
+    /** The --validate / --validate-trace input. */
+    std::string file;
 };
 
-/**
- * Strictly parse an unsigned decimal value: no sign, no trailing
- * garbage (strtoul alone would coerce "abc" to 0).
- * @return false on a malformed value
- */
-bool
-parseUnsigned(const std::string &value, unsigned long &out)
+/** Apply the machine flags to @p p (a single run's, or a sweep
+ * configuration's before its swept dimension). */
+void
+applyMachineFlags(const Options &o, UarchParams &p)
 {
-    char *end = nullptr;
-    out = std::strtoul(value.c_str(), &end, 10);
-    return end != value.c_str() && *end == '\0';
+    if (!o.delay)
+        p.nosqDelay = false;
+    p.svwFilter = o.svw;
+    p.eventSkip = o.event_skip;
+    if (o.history.size() == 1)
+        p.bypass.historyBits = o.history.front();
+    if (o.entries)
+        p.bypass.entriesPerTable = *o.entries;
+    if (o.mshrs)
+        p.memsys.mshrs = *o.mshrs;
+    if (o.prefetch)
+        p.memsys.prefetchDegree = *o.prefetch;
+    if (o.bus_occupancy)
+        p.memsys.busContention = true;
 }
 
-/**
- * Parse a window size: only the paper's two machines exist, so
- * anything but 128 or 256 is rejected, never silently coerced.
- * @return false on a malformed or unsupported size
- */
-bool
-parseWindow(const std::string &value, bool &big_window)
+/** The flag table: every nosq_sim flag, declared once. */
+flags::Parser
+makeParser(Options &o)
 {
-    char *end = nullptr;
-    const unsigned long size =
-        std::strtoul(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' ||
-        (size != 128 && size != 256))
-        return false;
-    big_window = size == 256;
-    return true;
-}
-
-/**
- * Parse one --capacities point: total entries with an optional K
- * suffix, or Inf (0) for unbounded. Totals must be a multiple of 8
- * (two equally split 4-way tables) so the labeled capacity is
- * exactly the simulated one, never a rounded approximation.
- * @return false on a malformed point
- */
-bool
-parseCapacity(const std::string &label, unsigned &total)
-{
-    if (label == "Inf" || label == "inf") {
-        total = 0;
-        return true;
-    }
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(label.c_str(), &end, 10);
-    unsigned long scale = 1;
-    if (*end == 'K' || *end == 'k') {
-        scale = 1024;
-        ++end;
-    }
-    // 2^30 caps any sane geometry and keeps v * scale far from
-    // wrapping the 32-bit total.
-    if (end == label.c_str() || *end != '\0' || v == 0 ||
-        v > (1ul << 30) / scale || (v * scale) % 8 != 0)
-        return false;
-    total = static_cast<unsigned>(v * scale);
-    return true;
+    using flags::Arg;
+    const unsigned MACHINE = RUN | SWEEP;
+    return flags::Parser(
+        "usage: nosq_sim [options]\n\n"
+        "Simulates the NoSQ paper's machines: one benchmark under one\n"
+        "configuration, or a parallel sweep of configurations.\n\n",
+        {{"single-run", ""}, {"sweep", "--sweep"}, {"perf", "--perf"},
+         {"list", "--list"}, {"validate", "--validate"},
+         {"validate-trace", "--validate-trace"},
+         {"server-status", "--server-status"},
+         {"server-metrics", "--server-metrics"}},
+        {
+        {"--list", Arg::None, "", 1u << List,
+         "list benchmark profiles", nullptr},
+        {"--bench", Arg::Required, "NAME", MACHINE,
+         "benchmark to run (single-run: required; sweep: a "
+         "comma-separated list restricting the sweep)",
+         flags::text(o.bench)},
+        {"--mode", Arg::Required, "MODE", MACHINE,
+         "perfect | storesets | nosq | nosq-perfect (default: nosq)",
+         [&o](const std::string &, const std::string &value) {
+             o.mode = parseMode(value);
+             return o.mode ? std::string()
+                           : "unknown mode '" + value + "'";
+         }},
+        {"--insts", Arg::Required, "N", MACHINE | PERF,
+         "measured instructions (default 300000)",
+         flags::number(o.insts, 0, UINT64_MAX, "unsigned integer")},
+        {"--warmup", Arg::Required, "N", MACHINE | PERF,
+         "warm-up instructions (default insts/3)",
+         flags::number(o.warmup, 0, UINT64_MAX, "unsigned integer")},
+        {"--window", Arg::Required, "SIZE", MACHINE,
+         "128 | 256 (default 128)",
+         flags::number(o.window, 128, 256, "must be 128 or 256",
+                       [](std::uint64_t v) { return v % 128 == 0; })},
+        {"--no-delay", Arg::None, "", MACHINE,
+         "disable the delay mechanism", flags::store(o.delay, false)},
+        {"--no-svw", Arg::None, "", MACHINE,
+         "disable SVW filtering (re-execute all)",
+         flags::store(o.svw, false)},
+        {"--history", Arg::Required, "BITS", MACHINE,
+         "bypassing predictor history bits; with --sweep=history, a "
+         "comma list of the swept points",
+         [&o](const std::string &flag, const std::string &value) {
+             o.history.clear();
+             for (const std::string &item : splitList(value)) {
+                 std::uint64_t v = 0;
+                 if (!flags::parseUnsigned(item, v) || v > UINT_MAX)
+                     return flags::invalid(flag, value,
+                                           "bits, or a comma list of them");
+                 o.history.push_back(static_cast<unsigned>(v));
+             }
+             return std::string();
+         }},
+        {"--entries", Arg::Required, "N", MACHINE,
+         "bypassing predictor entries/table",
+         flags::number(o.entries, 4, UINT_MAX,
+                       "nonzero multiple of 4",
+                       [](std::uint64_t v) { return v % 4 == 0; })},
+        {"--mshrs", Arg::Required, "N", MACHINE,
+         "L1D miss-status holding registers (0: legacy "
+         "blocking-latency miss model, the default)",
+         flags::number(o.mshrs, 0, 256,
+                       "0..256; 0 disables the non-blocking model")},
+        {"--prefetch", Arg::Required, "N", MACHINE,
+         "stream-prefetcher degree (lines per trigger; 0: off, the "
+         "default)",
+         flags::number(o.prefetch, 0, 64,
+                       "degree 0..64; 0 disables the prefetcher")},
+        {"--bus-occupancy", Arg::None, "", MACHINE,
+         "model DRAM-bus occupancy (queueing) instead of the flat "
+         "transfer cost",
+         flags::store(o.bus_occupancy, true)},
+        {"--cores", Arg::Required, "N", MACHINE,
+         "core count, 1..64 (default 1); > 1 runs an N-core System "
+         "over a shared coherent L2",
+         flags::number(o.cores, 1, max_cores,
+                       "1.." + std::to_string(max_cores))},
+        {"--queue-depth", Arg::Required, "N", MACHINE,
+         "multicore kernel ring slots, a power of two in 8..4096 "
+         "(default 16)",
+         flags::number(o.queue_depth, 8, 4096,
+                       "power of two in 8..4096",
+                       [](std::uint64_t v) { return (v & (v - 1)) == 0; })},
+        {"--seed", Arg::Required, "N", MACHINE,
+         "workload seed (default 1)",
+         flags::number(o.seed, 0, UINT64_MAX, "unsigned integer")},
+        {"--no-skip", Arg::None, "", MACHINE,
+         "disable event-driven cycle skipping (a wall-clock "
+         "optimization only; statistics are bit-identical either way)",
+         flags::store(o.event_skip, false)},
+        {"--sample", Arg::Required, "SPEC", MACHINE,
+         "SMARTS-style sampled simulation: SPEC is "
+         "ff:warmup:interval:count[:seed] in instructions. Each period "
+         "fast-forwards ff insts, re-warms for warmup, then measures "
+         "interval; seed != 0 adds a random initial offset. "
+         "--insts/--warmup are ignored when sampling",
+         [&o](const std::string &, const std::string &value) {
+             std::string error;
+             if (!parseSamplingSpec(value, o.sampling, error))
+                 return "invalid --sample '" + value + "': " + error;
+             return std::string();
+         }},
+        {"--trace-pipe", Arg::Required, "SPEC", RUN,
+         "export a Chrome trace-event JSON pipeline trace of a "
+         "single-core run; SPEC is FILE[:SKIP:COUNT] (default: the "
+         "first 50000 instructions)",
+         flags::nonEmpty(o.trace_pipe, "FILE[:SKIP:COUNT] spec")},
+        {"--sweep", Arg::Optional, "DIM", SWEEP,
+         "run a modes x windows x benchmarks cross-product in "
+         "parallel, or one dimension DIM against its SQ baseline: "
+         "capacity (Fig. 5 top), history (Fig. 5 bottom), cache-reads "
+         "(Fig. 4), memsys (L2 x MSHRs x prefetcher, bus occupancy on) "
+         "or multicore (cores x queue depth over the spsc-ring and "
+         "mpsc-queue kernels; --cores/--queue-depth pin one axis). The "
+         "machine flags apply to every configuration; the swept "
+         "dimension wins on its own knob",
+         [&o](const std::string &, const std::string &dim) {
+             static const std::map<std::string, SweepKind> kinds = {
+                 {"capacity", SweepKind::Capacity},
+                 {"history", SweepKind::History},
+                 {"cache-reads", SweepKind::CacheReads},
+                 {"memsys", SweepKind::Memsys},
+                 {"multicore", SweepKind::Multicore}};
+             if (dim.empty())
+                 return std::string();
+             const auto it = kinds.find(dim);
+             if (it == kinds.end())
+                 return "unknown sweep dimension '" + dim +
+                        "' (capacity | history | cache-reads | "
+                        "memsys | multicore)";
+             o.kind = it->second;
+             return std::string();
+         }},
+        {"--jobs", Arg::Required, "N", SWEEP,
+         "worker threads (default: NOSQ_JOBS env, else hardware "
+         "concurrency)",
+         flags::number(o.jobs, 0, UINT_MAX, "unsigned integer")},
+        {"--suite", Arg::Required, "NAME", SWEEP,
+         "media | int | fp | selected | all (default: selected)",
+         [&o](const std::string &, const std::string &value) {
+             static const std::map<std::string, Suite> suites = {
+                 {"media", Suite::Media}, {"int", Suite::Int},
+                 {"fp", Suite::Fp}};
+             if (value == "all" || value == "selected")
+                 o.suite = value == "all" ? allProfilePtrs()
+                                          : selectedProfiles();
+             else if (suites.count(value) != 0)
+                 o.suite = profilesOfSuite(suites.at(value));
+             else
+                 return "unknown suite '" + value + "'";
+             return std::string();
+         }},
+        {"--modes", Arg::Required, "LIST", SWEEP,
+         "comma-separated mode list, --sweep only (default: all four "
+         "modes, or --mode when given)",
+         [&o](const std::string &, const std::string &value) {
+             o.modes.clear();
+             for (const std::string &name : splitList(value)) {
+                 const std::optional<LsuMode> mode = parseMode(name);
+                 if (!mode)
+                     return "unknown mode '" + name + "'";
+                 o.modes.push_back(*mode);
+             }
+             return std::string();
+         }},
+        {"--windows", Arg::Required, "LIST", SWEEP,
+         "comma-separated window sizes, each 128 or 256 (--sweep "
+         "default: 128,256 or --window when given; dimension sweeps "
+         "take exactly one, default 128)",
+         [&o](const std::string &, const std::string &value) {
+             o.windows.clear();
+             for (const std::string &w : splitList(value)) {
+                 std::uint64_t size = 0;
+                 if (!flags::parseUnsigned(w, size) ||
+                     (size != 128 && size != 256))
+                     return "invalid window size '" + w +
+                            "' (must be 128 or 256)";
+                 o.windows.push_back(static_cast<unsigned>(size));
+             }
+             return std::string();
+         }},
+        {"--capacities", Arg::Required, "LIST", SWEEP,
+         "--sweep=capacity points: total entries, K suffix allowed, "
+         "Inf for unbounded (default 64,128,256,512,1K,2K,4K,Inf)",
+         [&o](const std::string &, const std::string &value) {
+             return parseCapacities(value, o.capacities);
+         }},
+        {"--checkpoint", Arg::Required, "FILE", SWEEP,
+         "journal each completed job to FILE (nosq-journal-v1 JSONL, "
+         "flushed per record; starts a fresh journal)",
+         flags::nonEmpty(o.checkpoint, "path")},
+        {"--resume", Arg::Required, "FILE", SWEEP,
+         "resume an interrupted sweep: skip the jobs journaled in "
+         "FILE, run the rest and keep journaling to FILE; the merged "
+         "report is byte-identical. Refuses another spec's journal and "
+         "salvages a corrupt one up to the damage",
+         flags::nonEmpty(o.resume, "path")},
+        {"--server", Arg::Required, "SOCK", SWEEP |
+             1u << ServerStatus | 1u << ServerMetrics,
+         "run the sweep on the nosq_sweepd daemon at Unix socket SOCK; "
+         "the report is byte-identical to a local sweep. Excludes "
+         "--checkpoint/--resume (the daemon owns its store)",
+         flags::nonEmpty(o.server, "socket path")},
+        {"--server-status", Arg::None, "", 1u << ServerStatus,
+         "print the daemon's one-line status JSON (workers, executed, "
+         "cache_hits, ...) and exit; requires --server",
+         nullptr},
+        {"--server-metrics", Arg::None, "", 1u << ServerMetrics,
+         "print the daemon's Prometheus metrics exposition and exit; "
+         "requires --server",
+         nullptr},
+        {"--retries", Arg::Required, "N", SWEEP,
+         "total --server connection attempts (default 5); dropped "
+         "connections and 'draining'/'overloaded' replies back off "
+         "exponentially with jitter and resume the result stream",
+         flags::number(o.retries, 1, 1000, "1..1000")},
+        {"--json", Arg::None, "", SWEEP,
+         "emit the nosq-sweep-v2 JSON report (runs + per-suite "
+         "reductions) to stdout instead of a table",
+         flags::store(o.json, true)},
+        {"--out", Arg::Required, "FILE", SWEEP | PERF,
+         "write the JSON report to FILE (the table still prints "
+         "without --json)",
+         flags::text(o.out)},
+        {"--validate", Arg::Required, "FILE", 1u << Validate,
+         "strict-parse FILE and check it against the nosq-sweep-v2 "
+         "schema; exits nonzero on any violation",
+         flags::text(o.file)},
+        {"--validate-trace", Arg::Required, "FILE", 1u << ValidateTrace,
+         "check FILE as a --trace-pipe export (event shape, "
+         "nondecreasing timestamps) and print per-event counts",
+         flags::text(o.file)},
+        {"--perf", Arg::None, "", PERF,
+         "time the simulator itself over the reference workload "
+         "(serial) and emit nosq-bench-core-v1 JSON with simulated "
+         "MIPS to stdout; honours --insts/--warmup and writes --out",
+         nullptr},
+        });
 }
 
 int
-runSweepMode(const SweepOptions &opt)
+runSweepMode(const Options &o)
 {
     SweepSpec spec;
-    spec.insts = opt.insts;
-    spec.warmup = opt.warmup;
-    spec.seed = opt.seed;
-    spec.sampling = opt.sampling;
+    spec.insts = o.insts;
+    spec.warmup = o.warmup.value_or(~std::uint64_t(0));
+    spec.seed = o.seed;
+    spec.sampling = o.sampling;
 
     // Benchmark set: an explicit comma-separated list narrows the
     // suite selection. The multicore dimension sweeps kernel names
     // (workload/multicore.hh) instead of benchmark profiles.
     std::vector<std::string> kernels;
-    if (opt.kind == SweepKind::Multicore) {
-        if (opt.bench.empty()) {
+    if (o.kind == SweepKind::Multicore) {
+        if (o.bench.empty()) {
             kernels = multicoreWorkloads();
         } else {
-            for (const std::string &name : splitList(opt.bench)) {
+            for (const std::string &name : splitList(o.bench)) {
                 if (!isMulticoreWorkload(name)) {
                     std::fprintf(stderr, "unknown multicore kernel "
                                  "'%s' (spsc-ring | mpsc-queue)\n",
@@ -407,8 +487,8 @@ runSweepMode(const SweepOptions &opt)
                 kernels.push_back(name);
             }
         }
-    } else if (!opt.bench.empty()) {
-        for (const std::string &name : splitList(opt.bench)) {
+    } else if (!o.bench.empty()) {
+        for (const std::string &name : splitList(o.bench)) {
             const BenchmarkProfile *profile = findProfile(name);
             if (profile == nullptr) {
                 std::fprintf(stderr, "unknown benchmark '%s' "
@@ -417,64 +497,33 @@ runSweepMode(const SweepOptions &opt)
             }
             spec.benchmarks.push_back(profile);
         }
-    } else if (opt.suite == "all") {
-        spec.benchmarks = allProfilePtrs();
-    } else if (opt.suite == "selected") {
-        spec.benchmarks = selectedProfiles();
-    } else if (opt.suite == "media") {
-        spec.benchmarks = profilesOfSuite(Suite::Media);
-    } else if (opt.suite == "int") {
-        spec.benchmarks = profilesOfSuite(Suite::Int);
-    } else if (opt.suite == "fp") {
-        spec.benchmarks = profilesOfSuite(Suite::Fp);
     } else {
-        std::fprintf(stderr, "unknown suite '%s'\n",
-                     opt.suite.c_str());
-        return 1;
+        spec.benchmarks = o.suite;
     }
 
-    // Window sizes (dimension sweeps run on one machine size).
-    const std::string windows_list =
-        (opt.kind != SweepKind::Cross && !opt.windows_explicit)
-            ? "128" : opt.windows;
-    std::vector<unsigned> windows;
-    for (const std::string &w : splitList(windows_list)) {
-        bool big = false;
-        if (!parseWindow(w, big)) {
-            std::fprintf(stderr, "invalid window size '%s' "
-                         "(must be 128 or 256)\n", w.c_str());
-            return 1;
-        }
-        windows.push_back(big ? 256u : 128u);
-    }
+    // Window sizes: --windows, else --window, else both machines
+    // (dimension sweeps run on one machine size, default 128).
+    std::vector<unsigned> windows = o.windows;
+    if (windows.empty() && o.window)
+        windows = {*o.window};
+    else if (windows.empty())
+        windows = o.kind == SweepKind::Cross
+            ? std::vector<unsigned>{128, 256} : std::vector<unsigned>{128};
 
-    if (opt.kind == SweepKind::Cross) {
+    if (o.kind == SweepKind::Cross) {
         // Configuration cross-product: modes x window sizes.
-        std::vector<LsuMode> modes;
-        if (opt.modes.empty()) {
+        std::vector<LsuMode> modes = o.modes;
+        if (modes.empty() && o.mode)
+            modes = {*o.mode};
+        else if (modes.empty())
             modes = {LsuMode::SqPerfect, LsuMode::SqStoreSets,
                      LsuMode::Nosq, LsuMode::NosqPerfect};
-        } else {
-            for (const std::string &name : splitList(opt.modes)) {
-                LsuMode mode;
-                if (!parseMode(name, mode)) {
-                    std::fprintf(stderr, "unknown mode '%s'\n",
-                                 name.c_str());
-                    return 1;
-                }
-                modes.push_back(mode);
-            }
-        }
-        if (windows.empty() || modes.empty()) {
-            std::fprintf(stderr, "empty sweep\n");
-            return 1;
-        }
         spec.configs = crossConfigs(modes, windows);
     } else {
         // Fixed-baseline dimension sweep (Figures 4 and 5). Flags
         // the dimension cannot honour are rejected, not silently
         // ignored.
-        if (!opt.modes.empty()) {
+        if (!o.modes.empty() || o.mode) {
             std::fprintf(stderr, "--mode/--modes apply only to "
                          "--sweep (dimension sweeps fix their own "
                          "configurations)\n");
@@ -485,52 +534,29 @@ runSweepMode(const SweepOptions &opt)
                          "--window (128 or 256)\n");
             return 1;
         }
-        if (opt.kind == SweepKind::CacheReads)
+        if (o.kind == SweepKind::CacheReads)
             spec.configs = cacheReadsConfigs();
-        else if (opt.kind == SweepKind::Memsys)
+        else if (o.kind == SweepKind::Memsys)
             spec.configs = memsysConfigs();
-        else if (opt.kind == SweepKind::Multicore)
+        else if (o.kind == SweepKind::Multicore)
             spec.configs = multicoreConfigs(
-                opt.cores_set ? std::vector<unsigned>{opt.cores}
-                              : std::vector<unsigned>{2, 4},
-                opt.queue_depth_set
-                    ? std::vector<unsigned>{opt.queue_depth}
-                    : std::vector<unsigned>{8, 64});
+                o.cores ? std::vector<unsigned>{*o.cores}
+                        : std::vector<unsigned>{2, 4},
+                o.queue_depth ? std::vector<unsigned>{*o.queue_depth}
+                              : std::vector<unsigned>{8, 64});
         else
             spec.configs.push_back(sqPerfectBaseline());
-        if (opt.kind == SweepKind::Capacity) {
-            std::vector<std::pair<std::string, unsigned>> capacities;
-            for (const std::string &label :
-                 splitList(opt.capacities)) {
-                unsigned total = 0;
-                if (!parseCapacity(label, total)) {
-                    std::fprintf(stderr, "invalid capacity '%s' "
-                                 "(total entries, multiple of 8, "
-                                 "K suffix allowed, or Inf)\n",
-                                 label.c_str());
-                    return 1;
-                }
-                capacities.emplace_back(label, total);
-            }
+        if (o.kind == SweepKind::Capacity) {
+            CapacityPoints capacities = o.capacities;
+            if (capacities.empty())
+                parseCapacities("64,128,256,512,1K,2K,4K,Inf",
+                                capacities);
             for (SweepConfig &config :
                  predictorCapacityConfigs(capacities))
                 spec.configs.push_back(std::move(config));
-        } else if (opt.kind == SweepKind::History) {
-            std::vector<unsigned> bits;
-            if (opt.history_list.empty()) {
-                bits = {4, 6, 8, 10, 12};
-            } else {
-                for (const std::string &b :
-                     splitList(opt.history_list)) {
-                    unsigned long v = 0;
-                    if (!parseUnsigned(b, v)) {
-                        std::fprintf(stderr, "invalid history "
-                                     "length '%s'\n", b.c_str());
-                        return 1;
-                    }
-                    bits.push_back(static_cast<unsigned>(v));
-                }
-            }
+        } else if (o.kind == SweepKind::History) {
+            const std::vector<unsigned> bits = o.history.empty()
+                ? std::vector<unsigned>{4, 6, 8, 10, 12} : o.history;
             for (SweepConfig &config : predictorHistoryConfigs(
                      bits, /*with_unbounded=*/true))
                 spec.configs.push_back(std::move(config));
@@ -538,7 +564,7 @@ runSweepMode(const SweepOptions &opt)
         for (SweepConfig &config : spec.configs)
             config.bigWindow = windows.front() == 256;
     }
-    const bool have_workloads = opt.kind == SweepKind::Multicore
+    const bool have_workloads = o.kind == SweepKind::Multicore
         ? !kernels.empty() : !spec.benchmarks.empty();
     if (spec.configs.empty() || !have_workloads) {
         std::fprintf(stderr, "empty sweep\n");
@@ -548,40 +574,25 @@ runSweepMode(const SweepOptions &opt)
     // SQ baseline of the dimension sweeps).
     const std::string baseline = spec.configs.front().name;
 
-    // Forward the single-run knobs into every configuration; the
-    // swept dimension is applied last so it wins on its own knob.
+    // Forward the machine flags into every configuration; the swept
+    // dimension is applied last so it wins on its own knob.
     for (SweepConfig &config : spec.configs) {
-        if (!opt.delay)
-            config.nosqDelay = false;
         // Homogeneous multicore sweep of profile benchmarks; the
         // multicore dimension already baked --cores into its grid,
         // so re-applying the same value is a no-op there.
-        if (opt.cores_set)
-            config.cores = opt.cores;
-        if (opt.queue_depth_set)
-            config.queueDepth = opt.queue_depth;
-        const std::function<void(UarchParams &)> dimension =
-            config.tweak;
-        config.tweak = [&opt, dimension](UarchParams &p) {
-            p.svwFilter = opt.svw;
-            p.eventSkip = opt.event_skip;
-            if (opt.history_set)
-                p.bypass.historyBits = opt.history_bits;
-            if (opt.entries_set)
-                p.bypass.entriesPerTable = opt.entries;
-            if (opt.mshrs_set)
-                p.memsys.mshrs = opt.mshrs;
-            if (opt.prefetch_set)
-                p.memsys.prefetchDegree = opt.prefetch;
-            if (opt.bus_occupancy)
-                p.memsys.busContention = true;
+        if (o.cores)
+            config.cores = *o.cores;
+        if (o.queue_depth)
+            config.queueDepth = *o.queue_depth;
+        config.tweak = [&o, dimension = std::move(config.tweak)](
+                           UarchParams &p) {
+            applyMachineFlags(o, p);
             if (dimension)
                 dimension(p);
         };
     }
-
     std::vector<SweepJob> jobs;
-    if (opt.kind == SweepKind::Multicore) {
+    if (o.kind == SweepKind::Multicore) {
         // Mirror buildJobs()'s insts/warmup defaulting so every
         // sweep family reports the same header numbers.
         const std::uint64_t mc_insts =
@@ -604,7 +615,7 @@ runSweepMode(const SweepOptions &opt)
     }
     obs::ProgressMeter meter(std::move(job_suites));
     SweepProgress progress;
-    if (!opt.json && meter.enabled()) {
+    if (!o.json && meter.enabled()) {
         progress = [&meter](std::size_t done, std::size_t total,
                             std::size_t index) {
             meter.report(done, total, index);
@@ -614,10 +625,10 @@ runSweepMode(const SweepOptions &opt)
     // Checkpoint/resume journal: --resume salvages an existing
     // journal and keeps appending to it; --checkpoint starts fresh.
     std::optional<SweepJournal> journal;
-    if (!opt.resume_path.empty())
-        journal.emplace(SweepJournal::resume(opt.resume_path));
-    else if (!opt.checkpoint_path.empty())
-        journal.emplace(SweepJournal::create(opt.checkpoint_path));
+    if (!o.resume.empty())
+        journal.emplace(SweepJournal::resume(o.resume));
+    else if (!o.checkpoint.empty())
+        journal.emplace(SweepJournal::create(o.checkpoint));
 
     // Bind up front (the engine then skips its lazy bind) so the
     // salvage warnings and the resume summary print BEFORE the
@@ -640,7 +651,7 @@ runSweepMode(const SweepOptions &opt)
         for (const std::string &warning : journal->warnings())
             std::fprintf(stderr, "journal: %s\n", warning.c_str());
         bind_warnings = journal->warnings().size();
-        if (!opt.resume_path.empty()) {
+        if (!o.resume.empty()) {
             std::fprintf(stderr, "journal: resuming: %zu/%zu "
                          "journaled job(s) from '%s'\n",
                          journal->doneCount(), jobs.size(),
@@ -650,16 +661,16 @@ runSweepMode(const SweepOptions &opt)
 
     std::vector<RunResult> results;
     int exit_code = 0;
-    if (!opt.server.empty()) {
+    if (!o.server.empty()) {
         // Client mode: the daemon runs the jobs; the report below
         // is assembled from the streamed results exactly as a local
         // sweep would and is byte-identical to one.
         serve::ClientOutcome outcome;
         std::string error;
         serve::RetryPolicy retry;
-        retry.attempts = opt.retries > 0 ? opt.retries : 1;
+        retry.attempts = o.retries > 0 ? o.retries : 1;
         const bool served = serve::runSweepOnServer(
-            opt.server, jobs, outcome, error, progress, retry);
+            o.server, jobs, outcome, error, progress, retry);
         meter.finish();
         if (serve::FaultInjector::global().enabled()) {
             // Let harnesses assert the client-side plan fired.
@@ -672,7 +683,7 @@ runSweepMode(const SweepOptions &opt)
                          error.c_str());
             return 1;
         }
-        if (!opt.json) {
+        if (!o.json) {
             std::fprintf(stderr, "server: ticket %s, %zu job(s), "
                          "%zu cached, %zu shared\n",
                          outcome.ticket.c_str(), jobs.size(),
@@ -687,8 +698,8 @@ runSweepMode(const SweepOptions &opt)
     } else {
         try {
             results = journal
-                ? runSweep(jobs, *journal, opt.jobs, progress)
-                : runSweep(jobs, opt.jobs, progress);
+                ? runSweep(jobs, *journal, o.jobs, progress)
+                : runSweep(jobs, o.jobs, progress);
             meter.finish();
         } catch (const JournalError &e) {
             // Journal I/O failed outright (unwritable path).
@@ -726,30 +737,30 @@ runSweepMode(const SweepOptions &opt)
     }
 
     const std::uint64_t insts = jobs.empty() ? 0 : jobs.front().insts;
-    if (opt.json || !opt.out_path.empty()) {
+    if (o.json || !o.out.empty()) {
         const std::string report =
             sweepReportJson(results, insts, baseline);
-        if (!opt.out_path.empty()) {
+        if (!o.out.empty()) {
             // The earlier string comparison cannot see through
             // "./x" vs "x" or symlinks; compare inodes before the
             // truncating open so the report can never clobber the
             // journal it just earned.
             struct stat out_stat, journal_stat;
             if (journal &&
-                ::stat(opt.out_path.c_str(), &out_stat) == 0 &&
+                ::stat(o.out.c_str(), &out_stat) == 0 &&
                 ::stat(journal->path().c_str(),
                        &journal_stat) == 0 &&
                 out_stat.st_dev == journal_stat.st_dev &&
                 out_stat.st_ino == journal_stat.st_ino) {
                 std::fprintf(stderr, "--out '%s' is the journal "
                              "file; refusing to overwrite it\n",
-                             opt.out_path.c_str());
+                             o.out.c_str());
                 return 1;
             }
-            if (!writeTextFile(opt.out_path, report))
+            if (!writeTextFile(o.out, report))
                 return 1;
         }
-        if (opt.json) {
+        if (o.json) {
             std::fputs(report.c_str(), stdout);
             return exit_code;
         }
@@ -769,21 +780,30 @@ runSweepMode(const SweepOptions &opt)
     return exit_code;
 }
 
-/** Strict-parse @p path and check the nosq-sweep-v2 schema. */
-int
-runValidateMode(const std::string &path)
+/** Read all of @p path into @p text; complains on failure. */
+bool
+readFile(const std::string &path, std::string &text)
 {
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (f == nullptr) {
         std::fprintf(stderr, "cannot read '%s'\n", path.c_str());
-        return 1;
+        return false;
     }
-    std::string text;
     char buf[4096];
     std::size_t n;
     while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
         text.append(buf, n);
     std::fclose(f);
+    return true;
+}
+
+/** Strict-parse @p path and check the nosq-sweep-v2 schema. */
+int
+runValidateMode(const std::string &path)
+{
+    std::string text;
+    if (!readFile(path, text))
+        return 1;
 
     JsonValue doc;
     std::string error;
@@ -812,17 +832,9 @@ runValidateMode(const std::string &path)
 int
 runValidateTraceMode(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot read '%s'\n", path.c_str());
-        return 1;
-    }
     std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
+    if (!readFile(path, text))
+        return 1;
 
     JsonValue doc;
     std::string error;
@@ -887,513 +899,48 @@ runValidateTraceMode(const std::string &path)
     return 0;
 }
 
-} // anonymous namespace
-
+/** One benchmark under one configuration; prints the stats table. */
 int
-main(int argc, char **argv)
+runSingleMode(const Options &o)
 {
-    // Honour NOSQ_FAULT_PLAN before anything touches a syscall
-    // seam, so chaos harnesses can exercise the client too.
-    {
-        std::string fault_error;
-        if (!serve::FaultInjector::global().configureFromEnv(
-                fault_error)) {
-            std::fprintf(stderr, "nosq_sim: %s\n",
-                         fault_error.c_str());
-            return 2;
-        }
-    }
-
-    std::string bench;
-    std::string mode = "nosq";
-    std::uint64_t insts = 300000;
-    std::uint64_t warmup = 0;
-    bool warmup_set = false;
-    bool big_window = false;
-    bool delay = true;
-    bool svw = true;
-    std::string history_arg;
-    unsigned history_bits = 8;
-    unsigned entries = 1024;
-    unsigned mshrs = 0;
-    unsigned prefetch = 0;
-    bool bus_occupancy = false;
-    bool event_skip = true;
-    unsigned cores = 1;
-    bool cores_set = false;
-    unsigned queue_depth = 0;
-    bool queue_depth_set = false;
-    SamplingParams sampling;
-    std::uint64_t seed = 1;
-    bool sweep = false;
-    bool perf = false;
-    bool mode_set = false;
-    bool window_set = false;
-    bool windows_set = false;
-    bool history_set = false;
-    bool entries_set = false;
-    bool mshrs_set = false;
-    bool prefetch_set = false;
-    std::string validate_path;
-    std::string validate_trace_path;
-    std::string trace_pipe_spec;
-    bool server_status = false;
-    bool server_metrics = false;
-    SweepOptions sweep_opt;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage();
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--list") {
-            listProfiles();
-            return 0;
-        } else if (arg == "--bench") {
-            bench = next();
-        } else if (arg == "--mode") {
-            mode = next();
-            mode_set = true;
-        } else if (arg == "--insts") {
-            insts = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--warmup") {
-            warmup = std::strtoull(next(), nullptr, 10);
-            warmup_set = true;
-        } else if (arg == "--window") {
-            const char *value = next();
-            if (!parseWindow(value, big_window)) {
-                std::fprintf(stderr, "invalid --window '%s' "
-                             "(must be 128 or 256)\n", value);
-                return 1;
-            }
-            window_set = true;
-        } else if (arg == "--no-delay") {
-            delay = false;
-        } else if (arg == "--no-svw") {
-            svw = false;
-        } else if (arg == "--history") {
-            history_arg = next();
-        } else if (arg == "--entries") {
-            // A zero or garbage entry count would crash the
-            // predictor's set indexing, and the set size must hold
-            // whole 4-way sets.
-            const char *value = next();
-            unsigned long v = 0;
-            if (!parseUnsigned(value, v) || v == 0 || v % 4 != 0) {
-                std::fprintf(stderr, "invalid --entries '%s' "
-                             "(nonzero multiple of 4)\n", value);
-                return 1;
-            }
-            entries = static_cast<unsigned>(v);
-            entries_set = true;
-        } else if (arg == "--mshrs") {
-            const char *value = next();
-            unsigned long v = 0;
-            if (!parseUnsigned(value, v) || v > 256) {
-                std::fprintf(stderr, "invalid --mshrs '%s' "
-                             "(0..256; 0 disables the non-blocking "
-                             "model)\n", value);
-                return 1;
-            }
-            mshrs = static_cast<unsigned>(v);
-            mshrs_set = true;
-        } else if (arg == "--prefetch") {
-            const char *value = next();
-            unsigned long v = 0;
-            if (!parseUnsigned(value, v) || v > 64) {
-                std::fprintf(stderr, "invalid --prefetch '%s' "
-                             "(degree 0..64; 0 disables the "
-                             "prefetcher)\n", value);
-                return 1;
-            }
-            prefetch = static_cast<unsigned>(v);
-            prefetch_set = true;
-        } else if (arg == "--bus-occupancy") {
-            bus_occupancy = true;
-        } else if (arg == "--cores") {
-            const char *value = next();
-            unsigned long v = 0;
-            if (!parseUnsigned(value, v) || v == 0 ||
-                v > max_cores) {
-                std::fprintf(stderr, "invalid --cores '%s' "
-                             "(1..%u)\n", value,
-                             unsigned(max_cores));
-                return 1;
-            }
-            cores = static_cast<unsigned>(v);
-            cores_set = true;
-        } else if (arg == "--queue-depth") {
-            const char *value = next();
-            unsigned long v = 0;
-            if (!parseUnsigned(value, v) || v < 8 || v > 4096 ||
-                (v & (v - 1)) != 0) {
-                std::fprintf(stderr, "invalid --queue-depth '%s' "
-                             "(power of two in 8..4096)\n", value);
-                return 1;
-            }
-            queue_depth = static_cast<unsigned>(v);
-            queue_depth_set = true;
-        } else if (arg == "--no-skip") {
-            event_skip = false;
-        } else if (arg == "--sample" ||
-                   arg.rfind("--sample=", 0) == 0) {
-            const std::string spec =
-                arg == "--sample" ? next() : arg.substr(9);
-            std::string error;
-            if (!parseSamplingSpec(spec, sampling, error)) {
-                std::fprintf(stderr, "invalid --sample '%s': %s\n",
-                             spec.c_str(), error.c_str());
-                return 1;
-            }
-        } else if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--perf") {
-            perf = true;
-        } else if (arg == "--sweep") {
-            sweep = true;
-        } else if (arg.rfind("--sweep=", 0) == 0) {
-            sweep = true;
-            const std::string dimension = arg.substr(8);
-            if (dimension == "capacity") {
-                sweep_opt.kind = SweepKind::Capacity;
-            } else if (dimension == "history") {
-                sweep_opt.kind = SweepKind::History;
-            } else if (dimension == "cache-reads") {
-                sweep_opt.kind = SweepKind::CacheReads;
-            } else if (dimension == "memsys") {
-                sweep_opt.kind = SweepKind::Memsys;
-            } else if (dimension == "multicore") {
-                sweep_opt.kind = SweepKind::Multicore;
-            } else {
-                std::fprintf(stderr, "unknown sweep dimension '%s' "
-                             "(capacity | history | cache-reads | "
-                             "memsys | multicore)\n",
-                             dimension.c_str());
-                return 1;
-            }
-        } else if (arg == "--capacities") {
-            sweep_opt.capacities = next();
-            sweep_opt.capacities_explicit = true;
-        } else if (arg == "--validate") {
-            validate_path = next();
-        } else if (arg == "--validate-trace") {
-            validate_trace_path = next();
-        } else if (arg == "--trace-pipe" ||
-                   arg.rfind("--trace-pipe=", 0) == 0) {
-            trace_pipe_spec =
-                arg == "--trace-pipe" ? next() : arg.substr(13);
-            if (trace_pipe_spec.empty()) {
-                std::fprintf(stderr, "--trace-pipe needs a "
-                             "FILE[:SKIP:COUNT] spec\n");
-                return 1;
-            }
-        } else if (arg == "--jobs") {
-            sweep_opt.jobs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--suite") {
-            sweep_opt.suite = next();
-        } else if (arg == "--modes") {
-            sweep_opt.modes = next();
-        } else if (arg == "--windows") {
-            sweep_opt.windows = next();
-            windows_set = true;
-        } else if (arg == "--json") {
-            sweep_opt.json = true;
-        } else if (arg == "--out") {
-            sweep_opt.out_path = next();
-        } else if (arg == "--checkpoint" ||
-                   arg.rfind("--checkpoint=", 0) == 0) {
-            sweep_opt.checkpoint_path =
-                arg == "--checkpoint" ? next() : arg.substr(13);
-            // An empty path (e.g. --checkpoint=$UNSET) must never
-            // silently run without crash protection.
-            if (sweep_opt.checkpoint_path.empty()) {
-                std::fprintf(stderr, "--checkpoint needs a "
-                             "non-empty path\n");
-                return 1;
-            }
-        } else if (arg == "--resume" ||
-                   arg.rfind("--resume=", 0) == 0) {
-            sweep_opt.resume_path =
-                arg == "--resume" ? next() : arg.substr(9);
-            if (sweep_opt.resume_path.empty()) {
-                std::fprintf(stderr, "--resume needs a non-empty "
-                             "path\n");
-                return 1;
-            }
-        } else if (arg == "--server" ||
-                   arg.rfind("--server=", 0) == 0) {
-            sweep_opt.server =
-                arg == "--server" ? next() : arg.substr(9);
-            if (sweep_opt.server.empty()) {
-                std::fprintf(stderr, "--server needs a non-empty "
-                             "socket path\n");
-                return 1;
-            }
-        } else if (arg == "--server-status") {
-            server_status = true;
-        } else if (arg == "--server-metrics") {
-            server_metrics = true;
-        } else if (arg == "--retries") {
-            char *end = nullptr;
-            const unsigned long v =
-                std::strtoul(next(), &end, 10);
-            if (end == nullptr || *end != '\0' || v == 0 ||
-                v > 1000) {
-                std::fprintf(stderr, "--retries needs an integer "
-                             "in 1..1000\n");
-                return 1;
-            }
-            sweep_opt.retries = static_cast<unsigned>(v);
-        } else {
-            usage();
-            return arg == "--help" ? 0 : 1;
-        }
-    }
-
-    if (!validate_path.empty())
-        return runValidateMode(validate_path);
-    if (!validate_trace_path.empty())
-        return runValidateTraceMode(validate_trace_path);
-
-    if (perf) {
-        if (sweep) {
-            std::fprintf(stderr, "--perf and --sweep are mutually "
-                         "exclusive\n");
-            return 1;
-        }
-        const PerfReport report = runPerfHarness(
-            insts, warmup_set ? warmup : ~std::uint64_t(0));
-        const std::string json = perfReportJson(report);
-        if (!sweep_opt.out_path.empty() &&
-            !writeTextFile(sweep_opt.out_path, json)) {
-            return 1;
-        }
-        std::fputs(json.c_str(), stdout);
-        return 0;
-    }
-
-    // --history: a single length everywhere; a comma list only as
-    // the --sweep=history points.
-    const bool history_is_list =
-        history_arg.find(',') != std::string::npos;
-    if (!history_arg.empty() && !history_is_list) {
-        unsigned long v = 0;
-        if (!parseUnsigned(history_arg, v)) {
-            std::fprintf(stderr, "invalid --history '%s'\n",
-                         history_arg.c_str());
-            return 1;
-        }
-        history_bits = static_cast<unsigned>(v);
-        history_set = true;
-    }
-    if (history_is_list &&
-        !(sweep && sweep_opt.kind == SweepKind::History)) {
-        std::fprintf(stderr, "--history takes a comma list only "
-                     "with --sweep=history\n");
-        return 1;
-    }
-    if (sweep_opt.capacities_explicit &&
-        !(sweep && sweep_opt.kind == SweepKind::Capacity)) {
-        std::fprintf(stderr, "--capacities applies only to "
-                     "--sweep=capacity\n");
-        return 1;
-    }
-    // Multi-core runs: sampled simulation is single-core only, and
-    // --queue-depth only shapes the producer/consumer kernels.
-    const bool multicore_run =
-        (cores_set && cores > 1) ||
-        (sweep && sweep_opt.kind == SweepKind::Multicore) ||
-        (!sweep && isMulticoreWorkload(bench));
-    if (sampling.enabled && multicore_run) {
-        std::fprintf(stderr, "--sample is single-core only\n");
-        return 1;
-    }
-    if (queue_depth_set &&
-        !((sweep && sweep_opt.kind == SweepKind::Multicore) ||
-          (!sweep && isMulticoreWorkload(bench)))) {
-        std::fprintf(stderr, "--queue-depth applies only to "
-                     "multicore kernel runs\n");
-        return 1;
-    }
-    if (server_status) {
-        if (sweep_opt.server.empty()) {
-            std::fprintf(stderr, "--server-status requires "
-                         "--server SOCK\n");
-            return 1;
-        }
-        std::string reply, error;
-        if (!serve::fetchServerStatus(sweep_opt.server, reply,
-                                      error)) {
-            std::fprintf(stderr, "%s\n", error.c_str());
-            return 1;
-        }
-        std::printf("%s\n", reply.c_str());
-        return 0;
-    }
-    if (server_metrics) {
-        if (sweep_opt.server.empty()) {
-            std::fprintf(stderr, "--server-metrics requires "
-                         "--server SOCK\n");
-            return 1;
-        }
-        std::string exposition, error;
-        if (!serve::fetchServerMetrics(sweep_opt.server, exposition,
-                                       error)) {
-            std::fprintf(stderr, "%s\n", error.c_str());
-            return 1;
-        }
-        std::fputs(exposition.c_str(), stdout);
-        return 0;
-    }
-    if (!sweep_opt.server.empty() && !sweep) {
-        std::fprintf(stderr, "--server applies only to sweep "
-                     "mode\n");
-        return 1;
-    }
-    if (!sweep_opt.server.empty() &&
-        (!sweep_opt.checkpoint_path.empty() ||
-         !sweep_opt.resume_path.empty())) {
-        std::fprintf(stderr, "--server and --checkpoint/--resume "
-                     "are mutually exclusive (journaling is "
-                     "server-side: the daemon owns a persistent "
-                     "result store)\n");
-        return 1;
-    }
-    if ((!sweep_opt.checkpoint_path.empty() ||
-         !sweep_opt.resume_path.empty()) && !sweep) {
-        std::fprintf(stderr, "--checkpoint/--resume apply only to "
-                     "sweep mode\n");
-        return 1;
-    }
-    if (!sweep_opt.checkpoint_path.empty() &&
-        !sweep_opt.resume_path.empty()) {
-        std::fprintf(stderr, "--checkpoint and --resume are "
-                     "mutually exclusive (--resume keeps "
-                     "journaling to its own file)\n");
-        return 1;
-    }
-    if (!sweep_opt.out_path.empty() &&
-        (sweep_opt.out_path == sweep_opt.checkpoint_path ||
-         sweep_opt.out_path == sweep_opt.resume_path)) {
-        std::fprintf(stderr, "--out must not name the journal "
-                     "file\n");
-        return 1;
-    }
-
-    if (sweep) {
-        sweep_opt.bench = bench;
-        sweep_opt.insts = insts;
-        if (warmup_set)
-            sweep_opt.warmup = warmup;
-        sweep_opt.seed = seed;
-        // Single-run flags narrow the sweep instead of being
-        // silently ignored (--modes/--windows take precedence).
-        if (mode_set && sweep_opt.modes.empty())
-            sweep_opt.modes = mode;
-        if (window_set && !windows_set)
-            sweep_opt.windows = big_window ? "256" : "128";
-        sweep_opt.windows_explicit = window_set || windows_set;
-        sweep_opt.delay = delay;
-        sweep_opt.svw = svw;
-        // In history-dimension mode, --history (single or list)
-        // names the sweep points rather than a fixed knob.
-        if (sweep_opt.kind == SweepKind::History)
-            sweep_opt.history_list = history_arg;
-        if (history_set) {
-            sweep_opt.history_set = true;
-            sweep_opt.history_bits = history_bits;
-        }
-        if (entries_set) {
-            sweep_opt.entries_set = true;
-            sweep_opt.entries = entries;
-        }
-        if (mshrs_set) {
-            sweep_opt.mshrs_set = true;
-            sweep_opt.mshrs = mshrs;
-        }
-        if (prefetch_set) {
-            sweep_opt.prefetch_set = true;
-            sweep_opt.prefetch = prefetch;
-        }
-        if (cores_set) {
-            sweep_opt.cores_set = true;
-            sweep_opt.cores = cores;
-        }
-        if (queue_depth_set) {
-            sweep_opt.queue_depth_set = true;
-            sweep_opt.queue_depth = queue_depth;
-        }
-        sweep_opt.bus_occupancy = bus_occupancy;
-        sweep_opt.event_skip = event_skip;
-        sweep_opt.sampling = sampling;
-        return runSweepMode(sweep_opt);
-    }
-
-    if (!trace_pipe_spec.empty() && sweep) {
-        std::fprintf(stderr, "--trace-pipe applies only to "
-                     "single-run mode\n");
-        return 1;
-    }
-
-    if (bench.empty()) {
-        usage();
-        return 1;
-    }
     // A multicore kernel name runs an N-core System (default 2
     // cores); a profile name runs single-core unless --cores > 1
     // asks for a homogeneous System.
-    const bool mc_kernel = isMulticoreWorkload(bench);
+    const bool mc_kernel = isMulticoreWorkload(o.bench);
     const BenchmarkProfile *profile =
-        mc_kernel ? nullptr : findProfile(bench);
+        mc_kernel ? nullptr : findProfile(o.bench);
     if (!mc_kernel && profile == nullptr) {
         std::fprintf(stderr, "unknown benchmark '%s' "
-                     "(try --list)\n", bench.c_str());
+                     "(try --list)\n", o.bench.c_str());
         return 1;
     }
-    const unsigned num_cores =
-        cores_set ? cores : (mc_kernel ? 2u : 1u);
+    const unsigned num_cores = o.cores.value_or(mc_kernel ? 2u : 1u);
     if (mc_kernel && num_cores < 2) {
         std::fprintf(stderr, "multicore kernel '%s' needs "
-                     "--cores >= 2\n", bench.c_str());
+                     "--cores >= 2\n", o.bench.c_str());
         return 1;
     }
 
-    LsuMode lsu;
-    if (!parseMode(mode, lsu)) {
-        std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
-        return 1;
-    }
-
-    UarchParams params = makeParams(lsu, big_window);
-    params.nosqDelay = delay;
-    params.svwFilter = svw;
-    params.bypass.historyBits = history_bits;
-    params.bypass.entriesPerTable = entries;
-    params.memsys.mshrs = mshrs;
-    params.memsys.prefetchDegree = prefetch;
-    params.memsys.busContention = bus_occupancy;
-    params.eventSkip = event_skip;
-    if (!warmup_set)
-        warmup = insts / 3;
+    UarchParams params =
+        makeParams(o.mode.value_or(LsuMode::Nosq), o.window == 256u);
+    applyMachineFlags(o, params);
+    const std::uint64_t warmup = o.warmup.value_or(o.insts / 3);
 
     std::printf("benchmark %s | %s | window %u | cores %u | "
                 "delay %s | SVW %s | mshrs %u | prefetch %u | "
                 "bus %s\n\n",
-                bench.c_str(), lsuModeName(lsu),
-                big_window ? 256u : 128u, num_cores,
-                delay ? "on" : "off", svw ? "on" : "off", mshrs,
-                prefetch, bus_occupancy ? "occupancy" : "flat");
+                o.bench.c_str(), lsuModeName(params.mode),
+                o.window.value_or(128u), num_cores,
+                params.nosqDelay ? "on" : "off",
+                params.svwFilter ? "on" : "off", params.memsys.mshrs,
+                params.memsys.prefetchDegree,
+                params.memsys.busContention ? "occupancy" : "flat");
 
     // Pipeline trace export: parse and open the sink before the run
     // so a bad spec or unwritable path fails before cycles are
     // spent. Null tracer = byte-identical default behaviour.
     std::optional<obs::PipeTracer> tracer;
-    if (!trace_pipe_spec.empty()) {
+    if (!o.trace_pipe.empty()) {
         if (num_cores > 1) {
             std::fprintf(stderr, "--trace-pipe applies only to "
                          "single-core runs\n");
@@ -1401,7 +948,7 @@ main(int argc, char **argv)
         }
         obs::PipeTraceConfig trace_cfg;
         std::string trace_error;
-        if (!obs::parsePipeTraceSpec(trace_pipe_spec, trace_cfg,
+        if (!obs::parsePipeTraceSpec(o.trace_pipe, trace_cfg,
                                      trace_error)) {
             std::fprintf(stderr, "--trace-pipe: %s\n",
                          trace_error.c_str());
@@ -1421,30 +968,29 @@ main(int argc, char **argv)
         try {
             if (mc_kernel) {
                 programs = buildMulticorePrograms(
-                    bench, num_cores,
-                    queue_depth_set ? queue_depth
-                                    : default_queue_depth,
-                    seed);
+                    o.bench, num_cores,
+                    o.queue_depth.value_or(default_queue_depth),
+                    o.seed);
             } else {
                 programs.reserve(num_cores);
                 for (unsigned i = 0; i < num_cores; ++i) {
                     programs.push_back(ProgramCache::global().get(
-                        *profile, seed + i));
+                        *profile, o.seed + i));
                 }
             }
             System system(params, std::move(programs));
-            r = system.run(insts, warmup);
+            r = system.run(o.insts, warmup);
         } catch (const std::invalid_argument &e) {
             std::fprintf(stderr, "%s\n", e.what());
             return 1;
         }
     } else {
         OooCore core(params,
-                     ProgramCache::global().get(*profile, seed));
+                     ProgramCache::global().get(*profile, o.seed));
         if (tracer)
             core.setTracer(&*tracer);
-        r = sampling.enabled ? core.runSampled(sampling)
-                             : core.run(insts, warmup);
+        r = o.sampling.enabled ? core.runSampled(o.sampling)
+                               : core.run(o.insts, warmup);
     }
 
     if (tracer) {
@@ -1537,4 +1083,124 @@ main(int argc, char **argv)
     }
     std::fputs(table.render().c_str(), stdout);
     return 0;
+}
+
+} // anonymous namespace
+
+int
+main(int argc, char **argv)
+{
+    // Honour NOSQ_FAULT_PLAN before anything touches a syscall
+    // seam, so chaos harnesses can exercise the client too.
+    {
+        std::string fault_error;
+        if (!serve::FaultInjector::global().configureFromEnv(
+                fault_error)) {
+            std::fprintf(stderr, "nosq_sim: %s\n",
+                         fault_error.c_str());
+            return 2;
+        }
+    }
+
+    Options o;
+    const flags::Parser parser = makeParser(o);
+    const flags::Parsed parsed = parser.parse({argv + 1, argv + argc});
+    if (parsed.status != flags::Parsed::Status::Ok)
+        return parser.finish(parsed, "", 1);
+
+    switch (parsed.mode) {
+      case List:
+        listProfiles();
+        return 0;
+      case Validate:
+        return runValidateMode(o.file);
+      case ValidateTrace:
+        return runValidateTraceMode(o.file);
+      case Perf: {
+        const PerfReport report = runPerfHarness(
+            o.insts, o.warmup.value_or(~std::uint64_t(0)));
+        const std::string json = perfReportJson(report);
+        if (!o.out.empty() && !writeTextFile(o.out, json))
+            return 1;
+        std::fputs(json.c_str(), stdout);
+        return 0;
+      }
+      case ServerStatus:
+      case ServerMetrics: {
+        const bool status = parsed.mode == ServerStatus;
+        if (o.server.empty()) {
+            std::fprintf(stderr, "%s requires --server SOCK\n",
+                         status ? "--server-status"
+                                : "--server-metrics");
+            return 1;
+        }
+        std::string reply, error;
+        if (!(status ? serve::fetchServerStatus(o.server, reply, error)
+                     : serve::fetchServerMetrics(o.server, reply,
+                                                 error))) {
+            std::fprintf(stderr, "%s\n", error.c_str());
+            return 1;
+        }
+        std::fputs((status ? reply + "\n" : reply).c_str(), stdout);
+        return 0;
+      }
+      default:
+        break;
+    }
+
+    // Rules between flags that depend on their values.
+    const bool sweep = parsed.mode == Sweep;
+    if (o.history.size() > 1 &&
+        !(sweep && o.kind == SweepKind::History)) {
+        std::fprintf(stderr, "--history takes a comma list only "
+                     "with --sweep=history\n");
+        return 1;
+    }
+    if (!o.capacities.empty() &&
+        !(sweep && o.kind == SweepKind::Capacity)) {
+        std::fprintf(stderr, "--capacities applies only to "
+                     "--sweep=capacity\n");
+        return 1;
+    }
+    // Multi-core runs: sampled simulation is single-core only, and
+    // --queue-depth only shapes the producer/consumer kernels.
+    const bool kernel_run = sweep ? o.kind == SweepKind::Multicore
+                                  : isMulticoreWorkload(o.bench);
+    if (o.sampling.enabled && (kernel_run || o.cores > 1u)) {
+        std::fprintf(stderr, "--sample is single-core only\n");
+        return 1;
+    }
+    if (o.queue_depth && !kernel_run) {
+        std::fprintf(stderr, "--queue-depth applies only to "
+                     "multicore kernel runs\n");
+        return 1;
+    }
+    if (!o.server.empty() &&
+        (!o.checkpoint.empty() || !o.resume.empty())) {
+        std::fprintf(stderr, "--server and --checkpoint/--resume "
+                     "are mutually exclusive (journaling is "
+                     "server-side: the daemon owns a persistent "
+                     "result store)\n");
+        return 1;
+    }
+    if (!o.checkpoint.empty() && !o.resume.empty()) {
+        std::fprintf(stderr, "--checkpoint and --resume are "
+                     "mutually exclusive (--resume keeps "
+                     "journaling to its own file)\n");
+        return 1;
+    }
+    if (!o.out.empty() &&
+        (o.out == o.checkpoint || o.out == o.resume)) {
+        std::fprintf(stderr, "--out must not name the journal "
+                     "file\n");
+        return 1;
+    }
+
+    if (sweep)
+        return runSweepMode(o);
+    if (o.bench.empty()) {
+        std::fputs(parser.help().c_str(), stdout);
+        return 1;
+    }
+    return runSingleMode(o);
 }

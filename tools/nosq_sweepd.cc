@@ -13,12 +13,13 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include <unistd.h>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "serve/dispatcher.hh"
 #include "serve/fault.hh"
@@ -36,73 +37,6 @@ onSignal(int)
         g_stop = g_stop + 1;
 }
 
-void
-usage(std::FILE *out)
-{
-    std::fputs(
-        "nosq_sweepd: sweep-serving daemon (nosq-serve-v1)\n"
-        "\n"
-        "Serves sweep jobs to nosq_sim --server clients from a\n"
-        "persistent result store, sharding fresh jobs across forked\n"
-        "worker processes and deduplicating identical submissions.\n"
-        "Runs in the foreground. The first SIGTERM/SIGINT drains:\n"
-        "in-flight jobs finish, new submits get 'draining', the\n"
-        "store is compacted, and the daemon exits 0; a second\n"
-        "signal stops immediately. See docs/SERVING.md for the\n"
-        "protocol and an operator guide.\n"
-        "\n"
-        "Usage: nosq_sweepd --socket PATH [options]\n"
-        "\n"
-        "Options:\n"
-        "  --socket PATH            Unix-domain socket to listen on\n"
-        "                           (required; keep it short, the\n"
-        "                           AF_UNIX limit is ~107 bytes)\n"
-        "  --store FILE             persistent result store\n"
-        "                           (default: nosq_store.jsonl)\n"
-        "  --workers N              worker processes (default:\n"
-        "                           NOSQ_JOBS, else hardware\n"
-        "                           concurrency)\n"
-        "  --heartbeat-timeout SEC  seconds without worker\n"
-        "                           heartbeat progress before the\n"
-        "                           worker is presumed wedged and\n"
-        "                           killed; must exceed the longest\n"
-        "                           single job (default: 300)\n"
-        "  --max-job-attempts N     quarantine a job after its\n"
-        "                           worker dies or wedges N times,\n"
-        "                           instead of crash-looping the\n"
-        "                           pool; 0 disables (default: 3)\n"
-        "  --max-pending N          reject submits needing fresh\n"
-        "                           executions while N jobs are\n"
-        "                           already pending ('overloaded',\n"
-        "                           clients back off and retry);\n"
-        "                           0 = unbounded (default: 0)\n"
-        "  --drain-timeout SEC      on SIGTERM, wait this long for\n"
-        "                           in-flight jobs before forcing\n"
-        "                           shutdown (default: 60)\n"
-        "  --fault-plan PLAN        deterministic fault injection\n"
-        "                           for tests, e.g.\n"
-        "                           'store.write:fail@3,\n"
-        "                           sock.*:eintr%5' (overrides the\n"
-        "                           NOSQ_FAULT_PLAN env var; see\n"
-        "                           docs/SERVING.md for the\n"
-        "                           grammar)\n"
-        "  --log FILE               append diagnostics to FILE\n"
-        "                           instead of stderr\n"
-        "  --help                   this text\n",
-        out);
-}
-
-bool
-parseUnsigned(const char *text, unsigned &out)
-{
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || v > 1u << 20)
-        return false;
-    out = static_cast<unsigned>(v);
-    return true;
-}
-
 } // anonymous namespace
 
 int
@@ -115,88 +49,72 @@ main(int argc, char **argv)
     opts.storePath = "nosq_store.jsonl";
     opts.stopFlag = &g_stop;
     std::string log_path;
-    std::string fault_plan;
-    bool fault_plan_set = false;
+    std::optional<std::string> fault_plan;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "nosq_sweepd: %s needs a value\n",
-                             flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage(stdout);
-            return 0;
-        } else if (arg == "--socket") {
-            opts.socketPath = value("--socket");
-        } else if (arg == "--store") {
-            opts.storePath = value("--store");
-        } else if (arg == "--workers") {
-            if (!parseUnsigned(value("--workers"),
-                               opts.workers) ||
-                opts.workers == 0) {
-                std::fputs("nosq_sweepd: --workers needs a "
-                           "positive integer\n",
-                           stderr);
-                return 2;
-            }
-        } else if (arg == "--heartbeat-timeout") {
-            if (!parseUnsigned(value("--heartbeat-timeout"),
-                               opts.heartbeatTimeoutSec) ||
-                opts.heartbeatTimeoutSec == 0) {
-                std::fputs("nosq_sweepd: --heartbeat-timeout "
-                           "needs a positive integer\n",
-                           stderr);
-                return 2;
-            }
-        } else if (arg == "--max-job-attempts") {
-            if (!parseUnsigned(value("--max-job-attempts"),
-                               opts.maxJobAttempts)) {
-                std::fputs("nosq_sweepd: --max-job-attempts needs "
-                           "a non-negative integer\n",
-                           stderr);
-                return 2;
-            }
-        } else if (arg == "--max-pending") {
-            unsigned max_pending = 0;
-            if (!parseUnsigned(value("--max-pending"),
-                               max_pending)) {
-                std::fputs("nosq_sweepd: --max-pending needs a "
-                           "non-negative integer\n",
-                           stderr);
-                return 2;
-            }
-            opts.maxPending = max_pending;
-        } else if (arg == "--drain-timeout") {
-            if (!parseUnsigned(value("--drain-timeout"),
-                               opts.drainTimeoutSec) ||
-                opts.drainTimeoutSec == 0) {
-                std::fputs("nosq_sweepd: --drain-timeout needs a "
-                           "positive integer\n",
-                           stderr);
-                return 2;
-            }
-        } else if (arg == "--fault-plan") {
-            fault_plan = value("--fault-plan");
-            fault_plan_set = true;
-        } else if (arg == "--log") {
-            log_path = value("--log");
-        } else {
-            std::fprintf(stderr,
-                         "nosq_sweepd: unknown option '%s'\n",
-                         arg.c_str());
-            usage(stderr);
-            return 2;
-        }
-    }
+    namespace flags = nosq::flags;
+    using flags::Arg;
+    const flags::Parser parser(
+        "nosq_sweepd: sweep-serving daemon (nosq-serve-v1)\n"
+        "\n"
+        "Serves sweep jobs to nosq_sim --server clients from a persistent\n"
+        "result store, sharding fresh jobs across forked worker processes\n"
+        "and deduplicating identical submissions. Runs in the foreground.\n"
+        "The first SIGTERM/SIGINT drains: in-flight jobs finish, new\n"
+        "submits get 'draining', the store is compacted, and the daemon\n"
+        "exits 0; a second signal stops immediately. See docs/SERVING.md\n"
+        "for the protocol and an operator guide.\n\n"
+        "Usage: nosq_sweepd --socket PATH [options]\n\n",
+        {{"serve", ""}},
+        {
+        {"--socket", Arg::Required, "PATH", 1,
+         "Unix-domain socket to listen on (required; keep it short, "
+         "the AF_UNIX limit is ~107 bytes)",
+         flags::text(opts.socketPath)},
+        {"--store", Arg::Required, "FILE", 1,
+         "persistent result store (default: nosq_store.jsonl)",
+         flags::text(opts.storePath)},
+        {"--workers", Arg::Required, "N", 1,
+         "worker processes, 1..64 (default: NOSQ_JOBS, else hardware "
+         "concurrency)",
+         flags::number(opts.workers, 1, 64, "1..64")},
+        {"--heartbeat-timeout", Arg::Required, "SEC", 1,
+         "seconds without worker heartbeat progress before the worker "
+         "is presumed wedged and killed; must exceed the longest single "
+         "job (default: 300)",
+         flags::number(opts.heartbeatTimeoutSec, 1, 1u << 20,
+                       "positive integer")},
+        {"--max-job-attempts", Arg::Required, "N", 1,
+         "quarantine a job after its worker dies or wedges N times, "
+         "instead of crash-looping the pool; 0 disables (default: 3)",
+         flags::number(opts.maxJobAttempts, 0, 1u << 20,
+                       "non-negative integer")},
+        {"--max-pending", Arg::Required, "N", 1,
+         "reject submits needing fresh executions while N jobs are "
+         "already pending ('overloaded', clients back off and retry); "
+         "0 = unbounded (default: 0)",
+         flags::number(opts.maxPending, 0, 1u << 20,
+                       "non-negative integer")},
+        {"--drain-timeout", Arg::Required, "SEC", 1,
+         "on SIGTERM, wait this long for in-flight jobs before forcing "
+         "shutdown (default: 60)",
+         flags::number(opts.drainTimeoutSec, 1, 1u << 20,
+                       "positive integer")},
+        {"--fault-plan", Arg::Required, "PLAN", 1,
+         "deterministic fault injection for tests, e.g. "
+         "'store.write:fail@3,sock.*:eintr%5' (overrides the "
+         "NOSQ_FAULT_PLAN env var; see docs/SERVING.md for the "
+         "grammar)",
+         flags::text(fault_plan)},
+        {"--log", Arg::Required, "FILE", 1,
+         "append diagnostics to FILE instead of stderr",
+         flags::text(log_path)},
+        });
+    const flags::Parsed parsed = parser.parse({argv + 1, argv + argc});
+    if (parsed.status != flags::Parsed::Status::Ok)
+        return parser.finish(parsed, "nosq_sweepd: ", 2);
     if (opts.socketPath.empty()) {
         std::fputs("nosq_sweepd: --socket is required\n", stderr);
-        usage(stderr);
+        std::fputs(parser.help().c_str(), stderr);
         return 2;
     }
 
@@ -213,9 +131,9 @@ main(int argc, char **argv)
 
     std::string fault_error;
     const bool fault_ok =
-        fault_plan_set
+        fault_plan
             ? nosq::serve::FaultInjector::global().configure(
-                  fault_plan, fault_error)
+                  *fault_plan, fault_error)
             : nosq::serve::FaultInjector::global().configureFromEnv(
                   fault_error);
     if (!fault_ok) {
