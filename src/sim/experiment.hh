@@ -1,7 +1,7 @@
 /**
  * @file
  * Experiment harness: benchmark runners and paper-figure helpers
- * shared by the bench binaries and examples.
+ * shared by the sweep engine, the bench binaries and examples.
  */
 
 #ifndef NOSQ_SIM_EXPERIMENT_HH

@@ -104,17 +104,6 @@ sqPerfectBaseline()
     return config;
 }
 
-std::vector<SweepConfig>
-cacheReadsConfigs()
-{
-    std::vector<SweepConfig> configs(2);
-    configs[0].name = "sq-storesets";
-    configs[0].mode = LsuMode::SqStoreSets;
-    configs[1].name = "nosq-delay";
-    configs[1].mode = LsuMode::Nosq;
-    return configs;
-}
-
 namespace {
 
 /** "256K" / "1M" style byte-size label for hierarchy point names. */

@@ -223,12 +223,6 @@ std::vector<SweepConfig> paperFigureConfigs(bool big_window);
 SweepConfig sqPerfectBaseline();
 
 /**
- * Figure 4's configuration pair: the associative-SQ baseline
- * ("sq-storesets") followed by NoSQ with delay ("nosq-delay").
- */
-std::vector<SweepConfig> cacheReadsConfigs();
-
-/**
  * Memory-hierarchy scaling dimension (`--sweep=memsys`): the cross
  * product of L2 size x L2 hit latency x MSHR count x prefetcher
  * on/off, each hierarchy point run under BOTH the associative-SQ

@@ -18,7 +18,8 @@
  *   nosq_sim --sweep=capacity --bench gcc,g721.e \
  *            --capacities 512,2K,Inf --json
  *   nosq_sim --sweep=history --suite int --json
- *   nosq_sim --sweep=cache-reads --json --out fig4.json
+ *   nosq_sim --sweep=bars --suite all --json --out bars.json
+ *   nosq_sim --render fig2:bars.json
  *   nosq_sim --validate sweep.json
  */
 
@@ -43,6 +44,7 @@
 #include "serve/fault.hh"
 #include "sim/experiment.hh"
 #include "sim/journal.hh"
+#include "sim/paper_tables.hh"
 #include "sim/perf.hh"
 #include "sim/report.hh"
 #include "sim/sampling.hh"
@@ -138,15 +140,15 @@ parseCapacities(const std::string &list, CapacityPoints &points)
 
 /** The modes of operation; a single run is the default. */
 enum Mode : unsigned {
-    Run, Sweep, Perf, List, Validate, ValidateTrace, ServerStatus,
-    ServerMetrics
+    Run, Sweep, Perf, List, Validate, ValidateTrace, Render,
+    ServerStatus, ServerMetrics
 };
 constexpr unsigned RUN = 1u << Run, SWEEP = 1u << Sweep,
                    PERF = 1u << Perf;
 
 /** Which family of configurations a sweep invocation runs. */
 enum class SweepKind {
-    Cross, Capacity, History, CacheReads, Memsys, Multicore
+    Cross, Capacity, History, Bars, Memsys, Multicore
 };
 
 /**
@@ -190,8 +192,10 @@ struct Options
     std::string server;
     /** Total --server connection attempts (see RetryPolicy). */
     unsigned retries = 5;
-    /** The --validate / --validate-trace input. */
+    /** The --validate / --validate-trace / --render input. */
     std::string file;
+    /** The --render table name. */
+    std::string table;
 };
 
 /** Apply the machine flags to @p p (a single run's, or a sweep
@@ -221,6 +225,9 @@ makeParser(Options &o)
 {
     using flags::Arg;
     const unsigned MACHINE = RUN | SWEEP;
+    std::string tables;
+    for (const std::string &name : paperTableNames())
+        tables += (tables.empty() ? "" : " | ") + name;
     return flags::Parser(
         "usage: nosq_sim [options]\n\n"
         "Simulates the NoSQ paper's machines: one benchmark under one\n"
@@ -228,6 +235,7 @@ makeParser(Options &o)
         {{"single-run", ""}, {"sweep", "--sweep"}, {"perf", "--perf"},
          {"list", "--list"}, {"validate", "--validate"},
          {"validate-trace", "--validate-trace"},
+         {"render", "--render"},
          {"server-status", "--server-status"},
          {"server-metrics", "--server-metrics"}},
         {
@@ -330,8 +338,9 @@ makeParser(Options &o)
         {"--sweep", Arg::Optional, "DIM", SWEEP,
          "run a modes x windows x benchmarks cross-product in "
          "parallel, or one dimension DIM against its SQ baseline: "
-         "capacity (Fig. 5 top), history (Fig. 5 bottom), cache-reads "
-         "(Fig. 4), memsys (L2 x MSHRs x prefetcher, bus occupancy on) "
+         "capacity (Fig. 5 top), history (Fig. 5 bottom), bars (the "
+         "five Fig. 2/3 bars on --window, which also feed Fig. 4 and "
+         "Table 5), memsys (L2 x MSHRs x prefetcher, bus occupancy on) "
          "or multicore (cores x queue depth over the spsc-ring and "
          "mpsc-queue kernels; --cores/--queue-depth pin one axis). The "
          "machine flags apply to every configuration; the swept "
@@ -340,7 +349,7 @@ makeParser(Options &o)
              static const std::map<std::string, SweepKind> kinds = {
                  {"capacity", SweepKind::Capacity},
                  {"history", SweepKind::History},
-                 {"cache-reads", SweepKind::CacheReads},
+                 {"bars", SweepKind::Bars},
                  {"memsys", SweepKind::Memsys},
                  {"multicore", SweepKind::Multicore}};
              if (dim.empty())
@@ -348,8 +357,8 @@ makeParser(Options &o)
              const auto it = kinds.find(dim);
              if (it == kinds.end())
                  return "unknown sweep dimension '" + dim +
-                        "' (capacity | history | cache-reads | "
-                        "memsys | multicore)";
+                        "' (capacity | history | bars | memsys | "
+                        "multicore)";
              o.kind = it->second;
              return std::string();
          }},
@@ -452,6 +461,19 @@ makeParser(Options &o)
          "check FILE as a --trace-pipe export (event shape, "
          "nondecreasing timestamps) and print per-event counts",
          flags::text(o.file)},
+        {"--render", Arg::Required, "TABLE:FILE", 1u << Render,
+         "print paper table TABLE (" + tables +
+             ") rendered from the nosq-sweep-v2 report FILE; "
+             "docs/cli.md names the sweep each table reads",
+         [&o](const std::string &flag, const std::string &value) {
+             const std::size_t colon = value.find(':');
+             if (colon == std::string::npos || colon == 0 ||
+                 colon + 1 == value.size())
+                 return flags::invalid(flag, value, "TABLE:FILE");
+             o.table = value.substr(0, colon);
+             o.file = value.substr(colon + 1);
+             return std::string();
+         }},
         {"--perf", Arg::None, "", PERF,
          "time the simulator itself over the reference workload "
          "(serial) and emit nosq-bench-core-v1 JSON with simulated "
@@ -534,8 +556,8 @@ runSweepMode(const Options &o)
                          "--window (128 or 256)\n");
             return 1;
         }
-        if (o.kind == SweepKind::CacheReads)
-            spec.configs = cacheReadsConfigs();
+        if (o.kind == SweepKind::Bars)
+            spec.configs = paperFigureConfigs(windows.front() == 256);
         else if (o.kind == SweepKind::Memsys)
             spec.configs = memsysConfigs();
         else if (o.kind == SweepKind::Multicore)
@@ -819,6 +841,30 @@ runValidateMode(const std::string &path)
     }
     std::printf("%s: valid nosq-sweep-v2 (%zu runs)\n", path.c_str(),
                 doc.find("runs")->array.size());
+    return 0;
+}
+
+/** Print a paper table rendered from the sweep report @p o.file. */
+int
+runRenderMode(const Options &o)
+{
+    std::string text, error;
+    std::vector<RunResult> runs;
+    std::uint64_t insts = 0;
+    if (!readFile(o.file, text))
+        return 1;
+    if (!loadSweepReport(text, runs, insts, error)) {
+        std::fprintf(stderr, "%s: %s\n", o.file.c_str(),
+                     error.c_str());
+        return 1;
+    }
+    try {
+        std::fputs(renderPaperTable(o.table, runs, insts).c_str(),
+                   stdout);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "%s: %s\n", o.file.c_str(), e.what());
+        return 1;
+    }
     return 0;
 }
 
@@ -1116,6 +1162,8 @@ main(int argc, char **argv)
         return runValidateMode(o.file);
       case ValidateTrace:
         return runValidateTraceMode(o.file);
+      case Render:
+        return runRenderMode(o);
       case Perf: {
         const PerfReport report = runPerfHarness(
             o.insts, o.warmup.value_or(~std::uint64_t(0)));
