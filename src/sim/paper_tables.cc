@@ -16,9 +16,8 @@ namespace nosq {
 namespace {
 
 /** A report's runs, indexed by (benchmark, config). */
-class Runs
+struct Runs
 {
-  public:
     explicit Runs(const std::vector<RunResult> &runs)
     {
         std::set<std::string> seen;
@@ -26,32 +25,11 @@ class Runs
             if (seen.insert("b:" + r.benchmark).second)
                 benches.emplace_back(r.benchmark, r.suite);
             if (seen.insert("c:" + r.config).second)
-                configNames.push_back(r.config);
+                configs.push_back(r.config);
             if (!r.memsys.empty() && seen.insert("m:" + r.memsys).second)
-                memsysNames.push_back(r.memsys);
+                memsysPoints.push_back(r.memsys);
             index.emplace(std::make_pair(r.benchmark, r.config), &r);
         }
-    }
-
-    /** Benchmarks and their suites, in report order. */
-    const std::vector<std::pair<std::string, Suite>> &
-    benchmarks() const
-    {
-        return benches;
-    }
-
-    /** Config names, in report order. */
-    const std::vector<std::string> &
-    configs() const
-    {
-        return configNames;
-    }
-
-    /** Memory-hierarchy point labels, in report order. */
-    const std::vector<std::string> &
-    memsysPoints() const
-    {
-        return memsysNames;
     }
 
     /** The statistics of @p bench under @p config. */
@@ -61,18 +39,27 @@ class Runs
         const auto it = index.find({bench, config});
         const std::string run =
             "run of '" + bench + "' under config '" + config + "'";
-        if (it == index.end())
-            throw std::invalid_argument("report has no " + run);
-        if (!it->second->valid)
-            throw std::invalid_argument(run + " is not valid (its "
-                                        "job failed)");
+        if (it == index.end() || !it->second->valid)
+            throw std::invalid_argument(
+                it == index.end() ? "report has no " + run
+                                  : run + " is not valid (its job failed)");
         return it->second->sim;
     }
 
-  private:
+    /** Cycles of @p bench under @p config over its sq-perfect run. */
+    double
+    relTime(const std::string &bench, const std::string &config) const
+    {
+        const double base_cycles =
+            static_cast<double>(at(bench, "sq-perfect").cycles);
+        return at(bench, config).cycles / base_cycles;
+    }
+
+    /** Benchmarks with their suites, configs and memsys labels, each
+     * in report order. */
     std::vector<std::pair<std::string, Suite>> benches;
-    std::vector<std::string> configNames;
-    std::vector<std::string> memsysNames;
+    std::vector<std::string> configs;
+    std::vector<std::string> memsysPoints;
     std::map<std::pair<std::string, std::string>, const RunResult *>
         index;
 };
@@ -80,48 +67,86 @@ class Runs
 const BenchmarkProfile &
 profileOf(const std::string &bench)
 {
-    const BenchmarkProfile *profile = findProfile(bench);
-    if (profile == nullptr)
-        throw std::invalid_argument("'" + bench +
-                                    "' is not a benchmark profile");
-    return *profile;
+    if (const BenchmarkProfile *profile = findProfile(bench))
+        return *profile;
+    throw std::invalid_argument("'" + bench +
+                                "' is not a benchmark profile");
 }
-
-/** Per summarized value, its series over one suite's benchmarks. */
-using Series = std::vector<std::vector<double>>;
 
 /**
- * Add one row per benchmark, in report order, and after each stretch
- * of same-suite benchmarks a summary row and a separator. @p row adds
- * a benchmark's row and returns the values its suite summarizes;
- * @p summary adds the suite's row from their series.
+ * One cell after a row's benchmark name: fixed text, or values with
+ * @c digits decimals -- one, or a "bounded (unbounded)" pair -- that
+ * the suite row averages the same way.
  */
-void
-bySuite(TextTable &table, const Runs &runs,
-        const std::function<std::vector<double>(const std::string &)>
-            &row,
-        const std::function<void(const std::string &suite,
-                                 const Series &)> &summary)
+struct Cell
 {
-    const auto &benches = runs.benchmarks();
-    Series series;
-    for (std::size_t b = 0; b < benches.size(); ++b) {
-        const std::vector<double> values = row(benches[b].first);
-        series.resize(values.size());
-        for (std::size_t v = 0; v < values.size(); ++v)
-            series[v].push_back(values[v]);
-        if (b + 1 == benches.size() ||
-            benches[b + 1].second != benches[b].second) {
-            summary(suiteName(benches[b].second), series);
-            table.separator();
-            series.clear();
-        }
+    std::vector<double> values;
+    int digits = 3;
+    std::string text;
+
+    std::string
+    render() const
+    {
+        if (values.empty())
+            return text;
+        const std::string first = fmtDouble(values[0], digits);
+        return values.size() == 1
+            ? first : first + " (" + fmtDouble(values[1], digits) + ")";
     }
+};
+
+/** A value cell with @p digits decimals. */
+Cell
+num(double v, int digits = 3)
+{
+    return {{v}, digits, {}};
 }
 
-/** The four bars of Figs. 2/3 after the sq-perfect baseline. */
-const char *const figure_bars[] = {"sq-storesets", "nosq-nodelay",
-                                   "nosq-delay", "nosq-perfect"};
+/**
+ * One row per benchmark, in report order: its name, then @p row's
+ * cells. After each stretch of same-suite benchmarks comes a
+ * "<suite>.<mean_name>" row holding @p mean of every value's series
+ * (blank under text cells), then a separator.
+ */
+std::string
+suiteTable(const Runs &runs, const std::vector<std::string> &header,
+           const std::string &mean_name,
+           double (*mean)(const std::vector<double> &),
+           const std::function<std::vector<Cell>(const std::string &)>
+               &row)
+{
+    TextTable table;
+    table.header(header);
+    const auto &benches = runs.benches;
+    // series[c][v]: value v of cell c over the stretch so far.
+    std::vector<std::vector<std::vector<double>>> series;
+    for (std::size_t b = 0; b < benches.size(); ++b) {
+        const std::vector<Cell> cells = row(benches[b].first);
+        std::vector<std::string> line{benches[b].first};
+        series.resize(cells.size());
+        for (std::size_t c = 0; c < cells.size(); ++c) {
+            line.push_back(cells[c].render());
+            series[c].resize(cells[c].values.size());
+            for (std::size_t v = 0; v < cells[c].values.size(); ++v)
+                series[c][v].push_back(cells[c].values[v]);
+        }
+        table.row(line);
+        if (b + 1 < benches.size() &&
+            benches[b + 1].second == benches[b].second)
+            continue;
+        line = {suiteName(benches[b].second) + ("." + mean_name)};
+        for (std::size_t c = 0; c < cells.size(); ++c) {
+            Cell summary{{}, cells[c].digits, {}};
+            for (const std::vector<double> &values : series[c])
+                summary.values.push_back(mean(values));
+            line.push_back(summary.render());
+        }
+        table.row(line);
+        table.separator();
+        series.clear();
+    }
+    return table.render();
+}
 
 /**
  * Figs. 2 and 3: execution time of each bar relative to SQ + perfect
@@ -131,42 +156,23 @@ const char *const figure_bars[] = {"sq-storesets", "nosq-nodelay",
 std::string
 barsTable(const Runs &runs, bool paper_ipc)
 {
-    TextTable table;
     std::vector<std::string> head{"bench", "ideal IPC"};
     if (paper_ipc)
         head.push_back("(paper)");
-    for (const char *label :
-         {"assoc-SQ", "NoSQ no-dly", "NoSQ dly", "perfect SMB"})
-        head.push_back(label);
-    table.header(head);
-    bySuite(
-        table, runs,
-        [&](const std::string &bench) {
-            const SimResult &base = runs.at(bench, "sq-perfect");
-            const double base_cycles =
-                static_cast<double>(base.cycles);
-            std::vector<std::string> row{bench,
-                                         fmtDouble(base.ipc(), 2)};
-            if (paper_ipc)
-                row.push_back(fmtDouble(profileOf(bench).idealIpc, 2));
-            std::vector<double> rel;
-            for (const char *bar : figure_bars) {
-                rel.push_back(runs.at(bench, bar).cycles /
-                              base_cycles);
-                row.push_back(fmtRatio(rel.back()));
-            }
-            table.row(row);
-            return rel;
-        },
-        [&](const std::string &suite, const Series &series) {
-            std::vector<std::string> row{suite + ".gmean", ""};
-            if (paper_ipc)
-                row.push_back("");
-            for (const auto &values : series)
-                row.push_back(fmtRatio(geomean(values)));
-            table.row(row);
-        });
-    return table.render();
+    head.insert(head.end(),
+                {"assoc-SQ", "NoSQ no-dly", "NoSQ dly", "perfect SMB"});
+    return suiteTable(runs, head, "gmean", geomean,
+                      [&](const std::string &bench) {
+        std::vector<Cell> row{
+            {{}, 0, fmtDouble(runs.at(bench, "sq-perfect").ipc(), 2)}};
+        if (paper_ipc)
+            row.push_back(
+                {{}, 0, fmtDouble(profileOf(bench).idealIpc, 2)});
+        for (const char *bar : {"sq-storesets", "nosq-nodelay",
+                                "nosq-delay", "nosq-perfect"})
+            row.push_back(num(runs.relTime(bench, bar)));
+        return row;
+    });
 }
 
 std::string
@@ -185,11 +191,6 @@ fig2(const Runs &runs, std::uint64_t insts)
         "    paper); realistic NoSQ captures about half\n";
 }
 
-/**
- * The larger window raises communication rates (helping ideal SMB)
- * but also the share of path signatures longer than the unenlarged
- * bypassing predictor supports.
- */
 std::string
 fig3(const Runs &runs, std::uint64_t)
 {
@@ -210,44 +211,32 @@ fig3(const Runs &runs, std::uint64_t)
 std::string
 fig4(const Runs &runs, std::uint64_t)
 {
-    TextTable table;
-    table.header({"bench", "core reads", "backend reads", "total",
-                  "reexec% of loads"});
     std::vector<double> totals, reexecs;
-    bySuite(
-        table, runs,
-        [&](const std::string &bench) {
-            const SimResult &base = runs.at(bench, "sq-storesets");
-            const SimResult &nosq = runs.at(bench, "nosq-delay");
-            const double base_reads = static_cast<double>(
-                base.dcacheReadsCore + base.dcacheReadsBackend);
-            const double core = nosq.dcacheReadsCore / base_reads;
-            const double backend =
-                nosq.dcacheReadsBackend / base_reads;
-            const double reexec = 100.0 * nosq.reexecRate();
-            table.row({bench, fmtRatio(core), fmtRatio(backend),
-                       fmtRatio(core + backend),
-                       fmtDouble(reexec, 2)});
-            totals.push_back(core + backend);
-            reexecs.push_back(reexec);
-            return std::vector<double>{core, backend, core + backend,
-                                       reexec};
-        },
-        [&](const std::string &suite, const Series &s) {
-            table.row({suite + ".amean", fmtRatio(amean(s[0])),
-                       fmtRatio(amean(s[1])), fmtRatio(amean(s[2])),
-                       fmtDouble(amean(s[3]), 2)});
-        });
+    const std::string table = suiteTable(
+        runs, {"bench", "core reads", "backend reads", "total",
+               "reexec% of loads"},
+        "amean", amean, [&](const std::string &bench) {
+        const SimResult &base = runs.at(bench, "sq-storesets");
+        const SimResult &nosq = runs.at(bench, "nosq-delay");
+        const double base_reads = static_cast<double>(
+            base.dcacheReadsCore + base.dcacheReadsBackend);
+        const double core = nosq.dcacheReadsCore / base_reads;
+        const double backend = nosq.dcacheReadsBackend / base_reads;
+        totals.push_back(core + backend);
+        reexecs.push_back(100.0 * nosq.reexecRate());
+        return std::vector<Cell>{num(core), num(backend),
+                                 num(totals.back()),
+                                 num(reexecs.back(), 2)};
+    });
     return "Figure 4: data cache reads, NoSQ (delay) relative to "
            "associative-SQ baseline\n\n" +
-        table.render() +
+        table +
         "\nSection 4.5 claims:\n"
         "  measured mean total reads vs baseline: " +
         fmtRatio(amean(totals)) +
         " (paper: ~0.91 overall, down to 0.6 for mesa.o)\n"
         "  measured mean re-execution rate: " +
-        fmtDouble(amean(reexecs), 2) +
-        "% of loads (paper: ~0.7%)\n";
+        fmtDouble(amean(reexecs), 2) + "% of loads (paper: ~0.7%)\n";
 }
 
 /**
@@ -258,38 +247,26 @@ fig4(const Runs &runs, std::uint64_t)
 std::string
 table5(const Runs &runs, std::uint64_t insts)
 {
-    TextTable table;
-    table.header({"bench", "comm%", "(paper)", "partial%", "(paper)",
-                  "mw/10k no-dly", "mw/10k dly", "dly%"});
-    bySuite(
-        table, runs,
-        [&](const std::string &bench) {
-            const SimResult &nodelay = runs.at(bench, "nosq-nodelay");
-            const SimResult &delay = runs.at(bench, "nosq-delay");
-            const BenchmarkProfile &profile = profileOf(bench);
-            const std::vector<double> values{
-                delay.pctCommLoads(), delay.pctPartialCommLoads(),
-                nodelay.mispredictsPer10kLoads(),
-                delay.mispredictsPer10kLoads(),
-                delay.pctLoadsDelayed()};
-            table.row({bench, fmtPct(values[0]),
-                       fmtPct(profile.pctComm), fmtPct(values[1]),
-                       fmtPct(profile.pctPartial),
-                       fmtDouble(values[2], 1), fmtDouble(values[3], 1),
-                       fmtPct(values[4])});
-            return values;
-        },
-        [&](const std::string &suite, const Series &s) {
-            table.row({suite + ".avg", fmtPct(amean(s[0])), "",
-                       fmtPct(amean(s[1])), "",
-                       fmtDouble(amean(s[2]), 1),
-                       fmtDouble(amean(s[3]), 1),
-                       fmtPct(amean(s[4]))});
-        });
     return "Table 5: communication behaviour and prediction "
            "accuracy\n(model: " +
         std::to_string(insts) +
-        " measured instructions per benchmark)\n\n" + table.render() +
+        " measured instructions per benchmark)\n\n" +
+        suiteTable(runs, {"bench", "comm%", "(paper)", "partial%",
+                          "(paper)", "mw/10k no-dly", "mw/10k dly",
+                          "dly%"},
+                   "avg", amean, [&](const std::string &bench) {
+            const SimResult &nodelay = runs.at(bench, "nosq-nodelay");
+            const SimResult &delay = runs.at(bench, "nosq-delay");
+            const BenchmarkProfile &profile = profileOf(bench);
+            return std::vector<Cell>{
+                num(delay.pctCommLoads(), 1),
+                {{}, 0, fmtPct(profile.pctComm)},
+                num(delay.pctPartialCommLoads(), 1),
+                {{}, 0, fmtPct(profile.pctPartial)},
+                num(nodelay.mispredictsPer10kLoads(), 1),
+                num(delay.mispredictsPer10kLoads(), 1),
+                num(delay.pctLoadsDelayed(), 1)};
+        }) +
         "\nPaper shape checks:\n"
         "  - majority of loads do not communicate; a few\n"
         "    benchmarks reach 30-48% communication (mesa)\n"
@@ -298,111 +275,61 @@ table5(const Runs &runs, std::uint64_t insts)
         "    percent of loads\n";
 }
 
-/** The report's configs that start with @p prefix, in order. */
-std::vector<std::string>
-configsWithPrefix(const Runs &runs, const std::string &prefix,
-                  const std::string &sweep)
+/**
+ * Fig. 5: relative time per bypassing-predictor point of the
+ * `--sweep=@p dim` report; each history point (2K entries) carries
+ * its unbounded-capacity twin in parentheses.
+ */
+std::string
+predictorTable(const Runs &runs, const std::string &dim)
 {
-    std::vector<std::string> configs;
-    for (const std::string &config : runs.configs())
-        if (config.compare(0, prefix.size(), prefix) == 0)
-            configs.push_back(config);
-    if (configs.empty())
+    const bool history = dim == "history";
+    const std::string prefix = history ? "hist-" : "cap-";
+    std::vector<std::string> points, head{"bench"};
+    for (const std::string &config : runs.configs) {
+        if (config.compare(0, prefix.size(), prefix) != 0 ||
+            (history &&
+             config.compare(config.size() - 4, 4, "-inf") == 0))
+            continue;
+        points.push_back(config);
+        head.push_back(config.substr(prefix.size()));
+    }
+    if (points.empty())
         throw std::invalid_argument("report has no " + prefix +
-                                    "* runs (render a --sweep=" +
-                                    sweep + " report)");
-    return configs;
+                                    "* runs (render a --sweep=" + dim +
+                                    " report)");
+    return suiteTable(runs, head, "gmean", geomean,
+                      [&](const std::string &bench) {
+        std::vector<Cell> row;
+        for (const std::string &config : points) {
+            row.push_back(num(runs.relTime(bench, config)));
+            if (history)
+                row.back().values.push_back(
+                    runs.relTime(bench, config + "-inf"));
+        }
+        return row;
+    });
 }
 
-/** Fig. 5 top: relative time per total predictor capacity. */
 std::string
 fig5Capacity(const Runs &runs, std::uint64_t)
 {
-    const std::vector<std::string> points =
-        configsWithPrefix(runs, "cap-", "capacity");
-    TextTable table;
-    std::vector<std::string> head{"bench"};
-    for (const std::string &config : points)
-        head.push_back(config.substr(4));
-    table.header(head);
-    bySuite(
-        table, runs,
-        [&](const std::string &bench) {
-            const double base_cycles = static_cast<double>(
-                runs.at(bench, "sq-perfect").cycles);
-            std::vector<std::string> row{bench};
-            std::vector<double> rel;
-            for (const std::string &config : points) {
-                rel.push_back(runs.at(bench, config).cycles /
-                              base_cycles);
-                row.push_back(fmtRatio(rel.back()));
-            }
-            table.row(row);
-            return rel;
-        },
-        [&](const std::string &suite, const Series &series) {
-            std::vector<std::string> row{suite + ".gmean"};
-            for (const auto &values : series)
-                row.push_back(fmtRatio(geomean(values)));
-            table.row(row);
-        });
     return "Figure 5 (top): predictor capacity sweep\n"
            "(total entries across both tables; relative to assoc SQ "
            "+ perfect scheduling)\n\n" +
-        table.render() +
+        predictorTable(runs, "capacity") +
         "\nPaper shape check: 2K is nearly as good as unbounded; 512 "
         "entries costs\nSPECint ~4% but barely hurts "
         "MediaBench/SPECfp.\n";
 }
 
-/**
- * Fig. 5 bottom: relative time per path history length at 2K
- * entries, with the unbounded-capacity twin in parentheses.
- */
 std::string
 fig5History(const Runs &runs, std::uint64_t)
 {
-    std::vector<std::string> points;
-    for (const std::string &config :
-         configsWithPrefix(runs, "hist-", "history"))
-        if (config.compare(config.size() - 4, 4, "-inf") != 0)
-            points.push_back(config);
-    TextTable table;
-    std::vector<std::string> head{"bench"};
-    for (const std::string &config : points)
-        head.push_back(config.substr(5));
-    table.header(head);
-    auto cell = [](double bounded, double unbounded) {
-        return fmtRatio(bounded) + " (" + fmtRatio(unbounded) + ")";
-    };
-    bySuite(
-        table, runs,
-        [&](const std::string &bench) {
-            const double base_cycles = static_cast<double>(
-                runs.at(bench, "sq-perfect").cycles);
-            std::vector<std::string> row{bench};
-            std::vector<double> rel;
-            for (const std::string &config : points) {
-                rel.push_back(runs.at(bench, config).cycles /
-                              base_cycles);
-                rel.push_back(runs.at(bench, config + "-inf").cycles /
-                              base_cycles);
-                row.push_back(cell(rel[rel.size() - 2], rel.back()));
-            }
-            table.row(row);
-            return rel;
-        },
-        [&](const std::string &suite, const Series &series) {
-            std::vector<std::string> row{suite + ".gmean"};
-            for (std::size_t i = 0; i < series.size(); i += 2)
-                row.push_back(cell(geomean(series[i]),
-                                   geomean(series[i + 1])));
-            table.row(row);
-        });
     return "Figure 5 (bottom): path history length sweep\n"
            "(2K-entry predictor, with unbounded capacity in "
            "parentheses)\n\n" +
-        table.render() +
+        predictorTable(runs, "history") +
         "\nPaper shape check: 6-8 bits capture most of the benefit; "
         "longer histories\nhurt the bounded predictor through "
         "capacity pressure.\n";
@@ -417,7 +344,7 @@ fig5History(const Runs &runs, std::uint64_t)
 std::string
 memsys(const Runs &runs, std::uint64_t)
 {
-    const std::vector<std::string> &points = runs.memsysPoints();
+    const std::vector<std::string> &points = runs.memsysPoints;
     if (points.empty())
         throw std::invalid_argument("report has no runs with a "
                                     "memsys label (render a "
@@ -428,7 +355,7 @@ memsys(const Runs &runs, std::uint64_t)
     for (const std::string &point : points) {
         std::vector<double> rel_time, rel_reads, mpki, miss_lat,
             pref_acc;
-        for (const auto &bench : runs.benchmarks()) {
+        for (const auto &bench : runs.benches) {
             const SimResult &sq = runs.at(bench.first, "sq/" + point);
             const SimResult &nosq =
                 runs.at(bench.first, "nosq/" + point);
@@ -436,11 +363,10 @@ memsys(const Runs &runs, std::uint64_t)
                 static_cast<double>(nosq.cycles) / sq.cycles);
             const double sq_reads = static_cast<double>(
                 sq.dcacheReadsCore + sq.dcacheReadsBackend);
-            if (sq_reads > 0) {
+            if (sq_reads > 0)
                 rel_reads.push_back(
                     (nosq.dcacheReadsCore + nosq.dcacheReadsBackend) /
                     sq_reads);
-            }
             mpki.push_back(nosq.l1dMpki());
             miss_lat.push_back(nosq.avgMissLatency());
             pref_acc.push_back(100.0 * nosq.prefetchAccuracy());
@@ -453,7 +379,7 @@ memsys(const Runs &runs, std::uint64_t)
     }
     return "Memory-hierarchy scaling: NoSQ (delay) vs associative-SQ "
            "baseline per hierarchy point\n(" +
-        std::to_string(runs.benchmarks().size()) + " benchmarks x " +
+        std::to_string(runs.benches.size()) + " benchmarks x " +
         std::to_string(points.size()) +
         " points; bus occupancy modeled)\n\n" + table.render() +
         "\nrel time / rel reads: NoSQ over the SQ baseline on the "
@@ -464,24 +390,19 @@ memsys(const Runs &runs, std::uint64_t)
 using Renderer = std::string (*)(const Runs &, std::uint64_t);
 
 const std::pair<const char *, Renderer> renderers[] = {
-    {"fig2", fig2},
-    {"fig3", fig3},
-    {"fig4", fig4},
-    {"table5", table5},
-    {"fig5-capacity", fig5Capacity},
-    {"fig5-history", fig5History},
-    {"memsys", memsys},
-};
+    {"fig2", fig2}, {"fig3", fig3}, {"fig4", fig4}, {"table5", table5},
+    {"fig5-capacity", fig5Capacity}, {"fig5-history", fig5History},
+    {"memsys", memsys}};
 
 } // anonymous namespace
 
-std::vector<std::string>
-paperTableNames()
+std::string
+paperTableList()
 {
-    std::vector<std::string> names;
+    std::string list;
     for (const auto &[name, render] : renderers)
-        names.push_back(name);
-    return names;
+        list += (list.empty() ? "" : " | ") + std::string(name);
+    return list;
 }
 
 std::string
@@ -496,32 +417,25 @@ renderPaperTable(const std::string &table,
             throw std::invalid_argument("report has no runs");
         return render(Runs(runs), insts);
     }
-    std::string known;
-    for (const std::string &name : paperTableNames())
-        known += (known.empty() ? "" : " | ") + name;
     throw std::invalid_argument("unknown table '" + table + "' (" +
-                                known + ")");
+                                paperTableList() + ")");
 }
 
-bool
-loadSweepReport(const std::string &text, std::vector<RunResult> &runs,
-                std::uint64_t &insts, std::string &error)
+std::vector<RunResult>
+loadSweepReport(const JsonValue &doc, std::uint64_t &insts)
 {
-    JsonValue doc;
-    if (!parseJson(text, doc, &error) ||
-        !validateSweepReport(doc, &error))
-        return false;
+    std::string error;
+    if (!validateSweepReport(doc, &error))
+        throw std::invalid_argument(error);
     insts = doc.find("insts")->asU64();
     const std::vector<JsonValue> &records = doc.find("runs")->array;
-    runs.assign(records.size(), RunResult());
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        if (!runResultFromJson(records[i], runs[i])) {
-            error = "run " + std::to_string(i) +
-                    ": cannot rebuild its statistics";
-            return false;
-        }
-    }
-    return true;
+    std::vector<RunResult> runs(records.size());
+    for (std::size_t i = 0; i < records.size(); ++i)
+        if (!runResultFromJson(records[i], runs[i]))
+            throw std::invalid_argument(
+                "run " + std::to_string(i) +
+                ": cannot rebuild its statistics");
+    return runs;
 }
 
 } // namespace nosq

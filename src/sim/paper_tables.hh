@@ -1,23 +1,11 @@
 /**
  * @file
- * The paper's result tables rendered from a sweep's runs.
- *
- * A sweep runs once (`nosq_sim --sweep...`) and writes a
- * nosq-sweep-v2 report; each renderer here turns that report's runs
- * into one paper-style text table (`nosq_sim --render TABLE:FILE`).
- * Runs are looked up by (benchmark, configuration) name, never by
- * position, so any report holding the runs a table needs renders it
- * and a report lacking one is refused with the missing pair named.
- *
- *   fig2, table5, fig4   `--sweep=bars` (fig2 and table5 over
- *                        `--suite all`)
- *   fig3                 `--sweep=bars --window 256`
- *   fig5-capacity        `--sweep=capacity`
- *   fig5-history         `--sweep=history`
- *   memsys               `--sweep=memsys`
- *
- * A report does not record its machine size, so the caller names the
- * table: fig2 and fig3 read the same configurations.
+ * The paper's result tables, rendered from the runs of a
+ * nosq-sweep-v2 report (`nosq_sim --render TABLE:FILE`). Runs are
+ * looked up by (benchmark, config) name, so any report holding the
+ * runs a table needs renders it. docs/cli.md names the sweep that
+ * feeds each table; a report does not record its machine size, so
+ * fig2 and fig3 read the same configurations.
  */
 
 #ifndef NOSQ_SIM_PAPER_TABLES_HH
@@ -31,8 +19,10 @@
 
 namespace nosq {
 
-/** The renderable table names, in documentation order. */
-std::vector<std::string> paperTableNames();
+struct JsonValue;
+
+/** The renderable table names: "fig2 | fig3 | ... | memsys". */
+std::string paperTableList();
 
 /**
  * Render table @p table over @p runs.
@@ -48,13 +38,13 @@ std::string renderPaperTable(const std::string &table,
                              std::uint64_t insts);
 
 /**
- * Load a nosq-sweep-v2 report: strict parse, schema check, then
+ * The runs of a parsed nosq-sweep-v2 report: schema check, then
  * every run rebuilt with runResultFromJson().
- * @return false with @p error explaining the first problem
+ * @param insts set to the report's measured instructions per run
+ * @throws std::invalid_argument explaining the first problem
  */
-bool loadSweepReport(const std::string &text,
-                     std::vector<RunResult> &runs,
-                     std::uint64_t &insts, std::string &error);
+std::vector<RunResult> loadSweepReport(const JsonValue &doc,
+                                       std::uint64_t &insts);
 
 } // namespace nosq
 

@@ -192,10 +192,9 @@ struct Options
     std::string server;
     /** Total --server connection attempts (see RetryPolicy). */
     unsigned retries = 5;
-    /** The --validate / --validate-trace / --render input. */
-    std::string file;
-    /** The --render table name. */
-    std::string table;
+    /** The --validate / --validate-trace / --render input, and the
+     * --render table. */
+    std::string file, table;
 };
 
 /** Apply the machine flags to @p p (a single run's, or a sweep
@@ -225,9 +224,6 @@ makeParser(Options &o)
 {
     using flags::Arg;
     const unsigned MACHINE = RUN | SWEEP;
-    std::string tables;
-    for (const std::string &name : paperTableNames())
-        tables += (tables.empty() ? "" : " | ") + name;
     return flags::Parser(
         "usage: nosq_sim [options]\n\n"
         "Simulates the NoSQ paper's machines: one benchmark under one\n"
@@ -462,17 +458,16 @@ makeParser(Options &o)
          "nondecreasing timestamps) and print per-event counts",
          flags::text(o.file)},
         {"--render", Arg::Required, "TABLE:FILE", 1u << Render,
-         "print paper table TABLE (" + tables +
+         "print paper table TABLE (" + paperTableList() +
              ") rendered from the nosq-sweep-v2 report FILE; "
              "docs/cli.md names the sweep each table reads",
          [&o](const std::string &flag, const std::string &value) {
              const std::size_t colon = value.find(':');
-             if (colon == std::string::npos || colon == 0 ||
-                 colon + 1 == value.size())
-                 return flags::invalid(flag, value, "TABLE:FILE");
              o.table = value.substr(0, colon);
-             o.file = value.substr(colon + 1);
-             return std::string();
+             o.file = value.substr(
+                 colon == value.npos ? value.size() : colon + 1);
+             return o.table.empty() || o.file.empty()
+                 ? flags::invalid(flag, value, "TABLE:FILE") : "";
          }},
         {"--perf", Arg::None, "", PERF,
          "time the simulator itself over the reference workload "
@@ -802,20 +797,25 @@ runSweepMode(const Options &o)
     return exit_code;
 }
 
-/** Read all of @p path into @p text; complains on failure. */
+/** Read and strict-parse @p path into @p doc; complains on failure. */
 bool
-readFile(const std::string &path, std::string &text)
+readJsonFile(const std::string &path, JsonValue &doc)
 {
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (f == nullptr) {
         std::fprintf(stderr, "cannot read '%s'\n", path.c_str());
         return false;
     }
+    std::string text, error;
     char buf[4096];
     std::size_t n;
     while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
         text.append(buf, n);
     std::fclose(f);
+    if (!parseJson(text, doc, &error)) {
+        std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
+        return false;
+    }
     return true;
 }
 
@@ -823,17 +823,10 @@ readFile(const std::string &path, std::string &text)
 int
 runValidateMode(const std::string &path)
 {
-    std::string text;
-    if (!readFile(path, text))
-        return 1;
-
     JsonValue doc;
     std::string error;
-    if (!parseJson(text, doc, &error)) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                     error.c_str());
+    if (!readJsonFile(path, doc))
         return 1;
-    }
     if (!validateSweepReport(doc, &error)) {
         std::fprintf(stderr, "%s: %s\n", path.c_str(),
                      error.c_str());
@@ -848,24 +841,19 @@ runValidateMode(const std::string &path)
 int
 runRenderMode(const Options &o)
 {
-    std::string text, error;
-    std::vector<RunResult> runs;
-    std::uint64_t insts = 0;
-    if (!readFile(o.file, text))
+    JsonValue doc;
+    if (!readJsonFile(o.file, doc))
         return 1;
-    if (!loadSweepReport(text, runs, insts, error)) {
-        std::fprintf(stderr, "%s: %s\n", o.file.c_str(),
-                     error.c_str());
-        return 1;
-    }
     try {
+        std::uint64_t insts = 0;
+        const std::vector<RunResult> runs = loadSweepReport(doc, insts);
         std::fputs(renderPaperTable(o.table, runs, insts).c_str(),
                    stdout);
+        return 0;
     } catch (const std::invalid_argument &e) {
         std::fprintf(stderr, "%s: %s\n", o.file.c_str(), e.what());
         return 1;
     }
-    return 0;
 }
 
 /**
@@ -878,17 +866,9 @@ runRenderMode(const Options &o)
 int
 runValidateTraceMode(const std::string &path)
 {
-    std::string text;
-    if (!readFile(path, text))
-        return 1;
-
     JsonValue doc;
-    std::string error;
-    if (!parseJson(text, doc, &error)) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                     error.c_str());
+    if (!readJsonFile(path, doc))
         return 1;
-    }
     if (doc.kind != JsonValue::Kind::Object) {
         std::fprintf(stderr, "%s: not a JSON object\n",
                      path.c_str());
